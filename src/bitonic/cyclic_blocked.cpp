@@ -1,11 +1,9 @@
-#include <algorithm>
 #include <cassert>
 #include <vector>
 
 #include "bitonic/remap_exec.hpp"
 #include "bitonic/sorts.hpp"
 #include "fault/error.hpp"
-#include "localsort/bitonic_merge.hpp"
 #include "localsort/compare_exchange.hpp"
 #include "localsort/radix_sort.hpp"
 #include "obs/profile.hpp"
@@ -48,8 +46,8 @@ void cyclic_blocked_sort(simd::Proc& p, std::span<std::uint32_t> keys) {
   RemapWorkspace ws_to_blocked;
 
   // Ping-pong buffering: every remap scatters from one buffer into the
-  // other and each block merge runs out-of-place, so no phase pays a
-  // copy-back; at most one copy settles the data at the very end.
+  // other and the local steps run in place, so each stage's two remaps
+  // leave the data back in `keys`.
   std::vector<std::uint32_t> alt(n);
   std::span<std::uint32_t> a = keys;          // current data
   std::span<std::uint32_t> b(alt.data(), n);  // free buffer
@@ -67,26 +65,16 @@ void cyclic_blocked_sort(simd::Proc& p, std::span<std::uint32_t> keys) {
     p.timed(simd::Phase::kCompute, [&] {
       localsort::local_network_steps(cyclic, rank, a, stage, stage, k);
     });
-    // Remap back to blocked; the remaining lg n steps complete the merge
-    // of each block, which Lemma 7 shows is a bitonic sequence: finish
-    // with a bitonic merge sort in the stage's direction (rank bit k),
-    // written straight into the free buffer.
+    // Remap back to blocked; the remaining lg n steps (compare bits
+    // lg n - 1 .. 0, all local) complete the merge of each block in the
+    // stage's direction (rank bit k, absolute bit lg n + k).
     remap_data_into(p, cyclic, blocked, a, b, ws_to_blocked);
     swap_buffers();
     p.timed(simd::Phase::kCompute, [&] {
-      if (util::bit(rank, k) == 0) {
-        localsort::bitonic_merge_sort(a, b);
-      } else {
-        localsort::bitonic_merge_sort_descending(a, b);
-      }
+      localsort::local_network_steps(blocked, rank, a, stage, log_n, log_n);
     });
-    swap_buffers();
   }
-
-  if (a.data() != keys.data()) {
-    p.timed(simd::Phase::kCompute,
-            [&] { std::copy(a.begin(), a.end(), keys.begin()); });
-  }
+  assert(a.data() == keys.data());
 }
 
 }  // namespace bsort::bitonic

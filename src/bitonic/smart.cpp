@@ -165,7 +165,7 @@ void smart_sort(simd::Proc& p, std::span<std::uint32_t> keys, const SmartOptions
   for (const auto& phase : sched.remaps) {
     const auto& sp = phase.params;
     const bool full_window = phase.steps == log_n || sp.kind == SmartKind::kLast;
-    const bool optimized = options.compute != SmartCompute::kCompareExchange && full_window;
+    const bool optimized = options.compute != SmartCompute::kNetwork && full_window;
 
     if (options.compute == SmartCompute::kFused && full_window &&
         sp.kind == SmartKind::kInside && fully_sorted) {
@@ -253,8 +253,9 @@ void smart_sort(simd::Proc& p, std::span<std::uint32_t> keys, const SmartOptions
       cur = lay2;
       fully_sorted = false;
     } else {
-      // Generic path (partial windows or kCompareExchange): remap, then
-      // simulate the steps one by one under the phase-1 layout.
+      // Network path (the default, and every partial window): remap,
+      // then run the window's steps under the phase-1 layout, low-stride
+      // runs fused into single kernel sweeps.
       remap_data_into(p, cur, phase.layout, a, b, remap_ws);
       swap_buffers();
       const int st = stage, spp = step;

@@ -21,33 +21,30 @@ namespace {
 using namespace detail;
 
 constexpr Kernels kScalar = {
-    "scalar",          scalar_cmpex_blocks, scalar_keep_min,   scalar_keep_max,
-    scalar_hist4x8,    scalar_hist2x16,     scalar_gather_idx, scalar_scatter_idx,
-    scalar_cmpex_multistep,
+    "scalar",       scalar_cmpex_blocks, scalar_keep_min,    scalar_keep_max,
+    scalar_hist4x8, scalar_gather_idx,   scalar_scatter_idx, scalar_cmpex_multistep,
 };
 
 #ifdef BSORT_KERNEL_X86
-// Histogram and scatter entries stay scalar below AVX-512: neither
-// vectorizes profitably without conflict detection and hardware
-// scatter (see kernel.hpp).  The SSE fused multi-step entry is scalar
-// too — its tile blocking already captures the cache win, and 4-wide
-// shuffles buy nothing over the branchless scalar loop.
+// The radix histogram is scalar in every table: it is the measured
+// winner on every tier (the AVX-512 conflict-detection form it replaced
+// was 2-3x slower at 2^17 keys, EXPERIMENTS.md).  Scatter stays scalar
+// below AVX-512, which adds hardware scatter.  The SSE fused multi-step
+// entry is scalar too — its tile blocking already captures the cache
+// win, and 4-wide shuffles buy nothing over the branchless scalar loop.
 constexpr Kernels kSse = {
-    "sse",          sse_cmpex_blocks, sse_keep_min,      sse_keep_max,
-    scalar_hist4x8, scalar_hist2x16,  scalar_gather_idx, scalar_scatter_idx,
-    scalar_cmpex_multistep,
+    "sse",          sse_cmpex_blocks,  sse_keep_min,       sse_keep_max,
+    scalar_hist4x8, scalar_gather_idx, scalar_scatter_idx, scalar_cmpex_multistep,
 };
 
 constexpr Kernels kAvx2 = {
-    "avx2",         avx2_cmpex_blocks, avx2_keep_min,   avx2_keep_max,
-    scalar_hist4x8, scalar_hist2x16,   avx2_gather_idx, scalar_scatter_idx,
-    avx2_cmpex_multistep,
+    "avx2",         avx2_cmpex_blocks, avx2_keep_min,      avx2_keep_max,
+    scalar_hist4x8, avx2_gather_idx,   scalar_scatter_idx, avx2_cmpex_multistep,
 };
 
 constexpr Kernels kAvx512 = {
-    "avx512",        avx512_cmpex_blocks, avx512_keep_min,   avx512_keep_max,
-    avx512_hist4x8,  avx512_hist2x16,     avx512_gather_idx, avx512_scatter_idx,
-    avx512_cmpex_multistep,
+    "avx512",       avx512_cmpex_blocks, avx512_keep_min,    avx512_keep_max,
+    scalar_hist4x8, avx512_gather_idx,   avx512_scatter_idx, avx512_cmpex_multistep,
 };
 
 constexpr const Kernels* kVariants[] = {&kScalar, &kSse, &kAvx2, &kAvx512};
@@ -76,8 +73,7 @@ bool supported(const Kernels& k) {
   if (name == "avx2") return __builtin_cpu_supports("avx2") != 0;
   if (name == "avx512") {
     return __builtin_cpu_supports("avx512f") != 0 &&
-           __builtin_cpu_supports("avx512bw") != 0 &&
-           __builtin_cpu_supports("avx512cd") != 0;
+           __builtin_cpu_supports("avx512bw") != 0;
   }
 #endif
   return false;

@@ -10,9 +10,9 @@
 //     ground truth the differential tests compare against),
 //   * "sse"    — 4-wide SSE4.1 min/max paths,
 //   * "avx2"   — 8-wide AVX2 min/max plus hardware gathers,
-//   * "avx512" — 16-wide masked min/max, conflict-detection histograms,
-//     hardware gather/scatter, and a register-blocked fused multi-step
-//     compare-exchange (requires AVX-512 F+BW+CD).
+//   * "avx512" — 16-wide masked min/max, hardware gather/scatter, and a
+//     register-blocked fused multi-step compare-exchange (requires
+//     AVX-512 F+BW).
 //
 // The active table is selected ONCE, at first use, by CPUID-based
 // runtime dispatch (best supported variant wins).  The environment
@@ -22,10 +22,10 @@
 // Callers grab `kernel::active()` (a cheap atomic pointer load) and
 // invoke through the table; no per-call CPUID.
 //
-// Histogram and scatter entries share the scalar implementation in the
-// sse/avx2 tables (histogram increments and scattered stores do not
-// vectorize profitably on x86 below AVX-512); the avx512 table
-// overrides them with conflict-detection and scatter forms.
+// Each entry holds the variant measured fastest on its tier, which is
+// not always the widest ISA: every table shares the scalar radix
+// histogram (an AVX-512 conflict-detection histogram measured 2-3x
+// slower and was removed), and scatter stays scalar below AVX-512.
 #pragma once
 
 #include <cstddef>
@@ -56,13 +56,6 @@ struct Kernels {
   /// ascending.  `hist` must be zeroed by the caller.
   void (*hist4x8)(const std::uint32_t* keys, std::size_t n, std::uint32_t xor_mask,
                   std::size_t hist[4][256]);
-
-  /// Fused 16-bit-digit histograms: one sweep filling the low- and
-  /// high-halfword histograms of (key ^ xor_mask).  `hist_lo` and
-  /// `hist_hi` each hold 65536 zeroed counters (32-bit: local arrays
-  /// never reach 2^32 keys).
-  void (*hist2x16)(const std::uint32_t* keys, std::size_t n, std::uint32_t xor_mask,
-                   std::uint32_t* hist_lo, std::uint32_t* hist_hi);
 
   /// Pack gather: dst[j] = src[idx[j] | pat] for j in [0, n).
   void (*gather_idx)(std::uint32_t* dst, const std::uint32_t* src,

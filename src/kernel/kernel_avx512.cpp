@@ -1,15 +1,12 @@
-// AVX-512 kernels (16-wide masked min/max, conflict-detection
-// histograms, hardware gather/scatter, register-blocked fused
-// multi-step compare-exchange).  This TU is compiled with
-// -mavx512f -mavx512bw -mavx512cd (see src/CMakeLists.txt) and gated at
-// runtime on __builtin_cpu_supports("avx512f"/"avx512bw"/"avx512cd");
-// nothing here may be called on a host without those features.
+// AVX-512 kernels (16-wide masked min/max, hardware gather/scatter,
+// register-blocked fused multi-step compare-exchange).  This TU is
+// compiled with -mavx512f -mavx512bw (see src/CMakeLists.txt) and gated
+// at runtime on __builtin_cpu_supports("avx512f"/"avx512bw"); nothing
+// here may be called on a host without those features.
 //
 // The masked forms replace the scalar tails of the narrower variants:
 // a length-masked load/store pair handles any remainder in the same
-// vector code path.  Scattered histogram increments become profitable
-// here because VPCONFLICTD can prove which of 16 simultaneous bucket
-// updates collide and fold the duplicates into one masked scatter.
+// vector code path.
 #include "kernel/kernel_internal.hpp"
 
 #ifdef BSORT_KERNEL_X86
@@ -25,37 +22,6 @@ namespace {
 /// Mask selecting the first `r` of 16 lanes (r <= 16).
 inline __mmask16 lane_mask(std::size_t r) {
   return static_cast<__mmask16>((1u << r) - 1u);
-}
-
-/// Per-lane popcount of 32-bit values without AVX512VPOPCNTDQ: SWAR
-/// bit-slicing, then a byte-sum via multiply.
-inline __m512i popcnt32(__m512i v) {
-  const __m512i m1 = _mm512_set1_epi32(0x55555555);
-  const __m512i m2 = _mm512_set1_epi32(0x33333333);
-  const __m512i m4 = _mm512_set1_epi32(0x0F0F0F0F);
-  v = _mm512_sub_epi32(v, _mm512_and_si512(_mm512_srli_epi32(v, 1), m1));
-  v = _mm512_add_epi32(_mm512_and_si512(v, m2),
-                       _mm512_and_si512(_mm512_srli_epi32(v, 2), m2));
-  v = _mm512_and_si512(_mm512_add_epi32(v, _mm512_srli_epi32(v, 4)), m4);
-  return _mm512_srli_epi32(_mm512_mullo_epi32(v, _mm512_set1_epi32(0x01010101)), 24);
-}
-
-/// hist[idx[lane]] += 1 for all 16 lanes, with colliding lanes folded
-/// into one update: VPCONFLICTD marks, per lane, the earlier lanes
-/// holding the same index; the LAST occurrence of each distinct index
-/// scatters (its own count plus all earlier duplicates), every other
-/// lane stays silent.
-inline void cd_bump16(__m512i idx, std::uint32_t* hist) {
-  const __m512i conf = _mm512_conflict_epi32(idx);
-  // OR of all conflict words = the set of lanes some LATER lane
-  // duplicates; their complement are the last occurrences.
-  const auto later = static_cast<std::uint32_t>(_mm512_reduce_or_epi32(conf));
-  const __mmask16 last = static_cast<__mmask16>(~later);
-  const __m512i inc = _mm512_add_epi32(popcnt32(conf), _mm512_set1_epi32(1));
-  __m512i cur = _mm512_mask_i32gather_epi32(_mm512_setzero_si512(), last, idx,
-                                            hist, 4);
-  cur = _mm512_add_epi32(cur, inc);
-  _mm512_mask_i32scatter_epi32(hist, last, idx, cur, 4);
 }
 
 }  // namespace
@@ -109,53 +75,6 @@ void avx512_keep_max(std::uint32_t* dst, const std::uint32_t* src, std::size_t n
     const __m512i vd = _mm512_maskz_loadu_epi32(m, dst + i);
     const __m512i vs = _mm512_maskz_loadu_epi32(m, src + i);
     _mm512_mask_storeu_epi32(dst + i, m, _mm512_max_epu32(vd, vs));
-  }
-}
-
-void avx512_hist4x8(const std::uint32_t* keys, std::size_t n, std::uint32_t xor_mask,
-                    std::size_t hist[4][256]) {
-  // Accumulate into 32-bit counters (local arrays never reach 2^32
-  // keys) so the conflict-detection scatter stays one lane per bucket,
-  // then widen into the caller's size_t histograms.
-  alignas(64) std::uint32_t tmp[4][256] = {};
-  const __m512i vxor = _mm512_set1_epi32(static_cast<int>(xor_mask));
-  const __m512i v255 = _mm512_set1_epi32(0xFF);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m512i x =
-        _mm512_xor_si512(_mm512_loadu_si512(keys + i), vxor);
-    cd_bump16(_mm512_and_si512(x, v255), tmp[0]);
-    cd_bump16(_mm512_and_si512(_mm512_srli_epi32(x, 8), v255), tmp[1]);
-    cd_bump16(_mm512_and_si512(_mm512_srli_epi32(x, 16), v255), tmp[2]);
-    cd_bump16(_mm512_srli_epi32(x, 24), tmp[3]);
-  }
-  for (; i < n; ++i) {
-    const std::uint32_t x = keys[i] ^ xor_mask;
-    ++tmp[0][x & 0xFFu];
-    ++tmp[1][(x >> 8) & 0xFFu];
-    ++tmp[2][(x >> 16) & 0xFFu];
-    ++tmp[3][x >> 24];
-  }
-  for (int d = 0; d < 4; ++d) {
-    for (int b = 0; b < 256; ++b) hist[d][b] += tmp[d][b];
-  }
-}
-
-void avx512_hist2x16(const std::uint32_t* keys, std::size_t n, std::uint32_t xor_mask,
-                     std::uint32_t* hist_lo, std::uint32_t* hist_hi) {
-  const __m512i vxor = _mm512_set1_epi32(static_cast<int>(xor_mask));
-  const __m512i vlo = _mm512_set1_epi32(0xFFFF);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m512i x =
-        _mm512_xor_si512(_mm512_loadu_si512(keys + i), vxor);
-    cd_bump16(_mm512_and_si512(x, vlo), hist_lo);
-    cd_bump16(_mm512_srli_epi32(x, 16), hist_hi);
-  }
-  for (; i < n; ++i) {
-    const std::uint32_t x = keys[i] ^ xor_mask;
-    ++hist_lo[x & 0xFFFFu];
-    ++hist_hi[x >> 16];
   }
 }
 

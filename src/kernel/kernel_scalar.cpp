@@ -45,15 +45,6 @@ void scalar_hist4x8(const std::uint32_t* keys, std::size_t n, std::uint32_t xor_
   }
 }
 
-void scalar_hist2x16(const std::uint32_t* keys, std::size_t n, std::uint32_t xor_mask,
-                     std::uint32_t* hist_lo, std::uint32_t* hist_hi) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t k = keys[i] ^ xor_mask;
-    ++hist_lo[k & 0xFFFFu];
-    ++hist_hi[k >> 16];
-  }
-}
-
 void scalar_gather_idx(std::uint32_t* dst, const std::uint32_t* src,
                        const std::uint32_t* idx, std::uint32_t pat, std::size_t n) {
   for (std::size_t j = 0; j < n; ++j) dst[j] = src[idx[j] | pat];

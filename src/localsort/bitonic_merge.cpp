@@ -79,17 +79,6 @@ void bitonic_merge_sort_descending(std::span<const std::uint32_t> seq,
             /*ascending=*/false);
 }
 
-void bitonic_merge_sort_inplace(std::span<std::uint32_t> seq,
-                                std::vector<std::uint32_t>& scratch, bool ascending) {
-  scratch.resize(seq.size());
-  if (ascending) {
-    bitonic_merge_sort(seq, scratch);
-  } else {
-    bitonic_merge_sort_descending(seq, scratch);
-  }
-  std::copy(scratch.begin(), scratch.end(), seq.begin());
-}
-
 void bitonic_merge_sort_strided(const std::uint32_t* base, std::size_t offset,
                                 std::size_t stride, std::size_t count,
                                 std::uint32_t* out, bool ascending) {

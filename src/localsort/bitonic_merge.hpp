@@ -5,7 +5,6 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 namespace bsort::localsort {
 
@@ -15,11 +14,6 @@ void bitonic_merge_sort(std::span<const std::uint32_t> seq, std::span<std::uint3
 /// Sort a bitonic sequence descending into `out`.
 void bitonic_merge_sort_descending(std::span<const std::uint32_t> seq,
                                    std::span<std::uint32_t> out);
-
-/// In-place convenience wrappers (use `scratch` as the merge target, then
-/// copy back).
-void bitonic_merge_sort_inplace(std::span<std::uint32_t> seq,
-                                std::vector<std::uint32_t>& scratch, bool ascending);
 
 /// Sort the strided bitonic view {base[offset + j*stride] : j < count}
 /// into the contiguous out[0..count).  Used by the crossing-window

@@ -70,10 +70,12 @@ void local_network_step(const layout::BitLayout& lay, std::uint64_t rank,
 // stage), so any contiguous run of steps within a stage whose compare
 // positions fit the fused tile (<= kernel::kMaxFusedPos) maps onto ONE
 // cmpex_multistep call: the kernel loads each tile once, runs every
-// column register/L1-blocked, and stores once.  Larger-stride columns
-// run one at a time — those are long contiguous streaming passes
-// already.  The single-step path above is the differential ground truth
-// (tests force the scalar kernel through it and compare).
+// column register/L1-blocked, and stores once.  A lone fusible column
+// goes there too: at stride 1 with the direction bit above it, the
+// block path would pay one kernel call per key pair.  Larger-stride
+// columns run one at a time — those are long contiguous streaming
+// passes already.  The single-step path above is the differential
+// ground truth (tests force the scalar kernel through it and compare).
 void local_network_steps(const layout::BitLayout& lay, std::uint64_t rank,
                          std::span<std::uint32_t> data, int stage, int step, int count) {
   const auto& K = kernel::active();
@@ -107,14 +109,8 @@ void local_network_steps(const layout::BitLayout& lay, std::uint64_t rank,
       while (j < run && pos_buf[static_cast<std::size_t>(j)] <= kernel::kMaxFusedPos) {
         ++j;
       }
-      if (j - i == 1) {
-        // A lone fusible column: the block-oriented single-step path is
-        // at least as good (contiguous cmpex_blocks calls).
-        local_network_step(lay, rank, data, stage, step - i);
-      } else {
-        K.cmpex_multistep(data.data(), data.size(), pos_buf.data() + i, j - i,
-                          dir_pos, const_ascending);
-      }
+      K.cmpex_multistep(data.data(), data.size(), pos_buf.data() + i, j - i, dir_pos,
+                        const_ascending);
       i = j;
     }
     count -= run;

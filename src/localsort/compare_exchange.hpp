@@ -1,7 +1,9 @@
 // Local compare-exchange execution of bitonic-network steps under an
-// arbitrary BitLayout — the unoptimized "simulate the butterfly"
-// computation that Chapter 4's optimizations replace, and the ground
-// truth they are validated against.
+// arbitrary BitLayout.  The thesis' Chapter 4 replaced this "simulate
+// the butterfly" computation with bitonic merges; with the fused
+// multi-step kernel it is faster than those merges again, and it is the
+// local computation of every post-remap window in smart_sort and
+// cyclic_blocked_sort.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +23,7 @@ void local_network_step(const layout::BitLayout& lay, std::uint64_t rank,
 /// advancing across stage boundaries (step s of stage k is followed by
 /// step s-1, and step 1 by step k+1 of stage k+1).  All compare bits must
 /// be local under `lay`.  Runs of same-stage columns whose compare
-/// positions fit the fused tile are batched into single
+/// positions fit the fused tile, including runs of one, go to single
 /// kernel::cmpex_multistep sweeps (one load/store of the array for the
 /// whole run instead of one per column); the result is bit-identical to
 /// executing the steps one at a time via local_network_step.

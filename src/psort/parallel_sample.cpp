@@ -13,7 +13,6 @@ namespace bsort::psort {
 
 void parallel_sample_sort(simd::Proc& p, std::vector<std::uint32_t>& keys, int oversample) {
   const auto P = static_cast<std::uint64_t>(p.nprocs());
-  const auto me = static_cast<std::uint64_t>(p.rank());
   const std::uint64_t n = keys.size();
 
   // Phase 1: local sort.
@@ -32,7 +31,7 @@ void parallel_sample_sort(simd::Proc& p, std::vector<std::uint32_t>& keys, int o
   // Phase 2: oversample and allgather; every processor derives the same
   // P-1 splitters from the combined sample.  The allgather goes through
   // the pooled arena: every slot (self included) carries the sample, and
-  // the self copy comes back as recv_view(me) with no fix-up.
+  // the self copy comes back as recv_view(p.rank()) with no fix-up.
   const auto s = static_cast<std::uint64_t>(oversample);
   obs::ScopedSpan sample_span(p, obs::SpanKind::kSample);
   std::vector<std::uint32_t> my_sample;
@@ -97,7 +96,7 @@ void parallel_sample_sort(simd::Proc& p, std::vector<std::uint32_t>& keys, int o
   remap_span.end();
 
   // Phase 4: p-way merge of the P sorted runs, read in place from the
-  // pooled views (the self run is recv_view(me)).
+  // pooled views (the self run is recv_view(p.rank())).
   obs::ScopedSpan merge_span(p, obs::SpanKind::kMergeStage);
   p.timed(simd::Phase::kCompute, [&] {
     std::size_t total = 0;

@@ -86,16 +86,22 @@ TEST_P(BitonicSortTest, CyclicBlocked) {
 TEST_P(BitonicSortTest, SmartTwoPhase) {
   auto keys = make_input();
   const auto want = expected(keys);
+  SmartOptions opt;
+  opt.compute = SmartCompute::kTwoPhase;
   run_blocked_spmd(keys, GetParam().nprocs, simd::MessageMode::kLong,
-                   [](simd::Proc& p, std::span<std::uint32_t> s) { smart_sort(p, s); });
+                   [&](simd::Proc& p, std::span<std::uint32_t> s) {
+                     smart_sort(p, s, opt);
+                   });
   EXPECT_EQ(keys, want);
 }
 
 TEST_P(BitonicSortTest, SmartCompareExchange) {
+  // The compare-exchange network path, smart's default: every window on
+  // the network kernel.  Pinned so a later default flip keeps it covered.
   auto keys = make_input();
   const auto want = expected(keys);
   SmartOptions opt;
-  opt.compute = SmartCompute::kCompareExchange;
+  opt.compute = SmartCompute::kNetwork;
   run_blocked_spmd(keys, GetParam().nprocs, simd::MessageMode::kLong,
                    [&](simd::Proc& p, std::span<std::uint32_t> s) {
                      smart_sort(p, s, opt);
@@ -227,15 +233,63 @@ TEST(BlockedMerge, CommunicationVolumeMatchesClosedForm) {
 TEST(SmartSort, FusedAndTwoPhaseAgree) {
   auto keys1 = util::generate_keys(1u << 12, KeyDistribution::kUniform31, 123);
   auto keys2 = keys1;
+  SmartOptions two_phase;
+  two_phase.compute = SmartCompute::kTwoPhase;
   SmartOptions fused;
   fused.compute = SmartCompute::kFused;
   run_blocked_spmd(keys1, 8, simd::MessageMode::kLong,
-                   [](simd::Proc& p, std::span<std::uint32_t> s) { smart_sort(p, s); });
+                   [&](simd::Proc& p, std::span<std::uint32_t> s) {
+                     smart_sort(p, s, two_phase);
+                   });
   run_blocked_spmd(keys2, 8, simd::MessageMode::kLong,
                    [&](simd::Proc& p, std::span<std::uint32_t> s) {
                      smart_sort(p, s, fused);
                    });
   EXPECT_EQ(keys1, keys2);
+}
+
+TEST(SmartSort, NetworkTwoPhaseFusedBitIdentical) {
+  // The three local computations differ only after each remap, so every
+  // shape must give the same output AND the same per-VP exchange and
+  // volume counts (the remap schedule is shared).
+  for (const auto strategy : {schedule::ShiftStrategy::kHead, schedule::ShiftStrategy::kTail}) {
+    for (int log_n = 1; log_n <= 8; ++log_n) {
+      for (int log_p = 1; log_p <= 5; ++log_p) {
+        const std::size_t total = std::size_t{1} << (log_n + log_p);
+        const auto input = util::generate_keys(total, KeyDistribution::kLowEntropy,
+                                               total + static_cast<std::size_t>(log_n));
+        auto want = input;
+        std::sort(want.begin(), want.end());
+        std::vector<std::uint32_t> outs[3];
+        simd::RunReport reps[3];
+        const SmartCompute computes[3] = {SmartCompute::kNetwork, SmartCompute::kTwoPhase,
+                                          SmartCompute::kFused};
+        for (int c = 0; c < 3; ++c) {
+          SmartOptions opt;
+          opt.strategy = strategy;
+          opt.compute = computes[c];
+          outs[c] = input;
+          reps[c] = run_blocked_spmd(outs[c], 1 << log_p, simd::MessageMode::kLong,
+                                     [&](simd::Proc& p, std::span<std::uint32_t> s) {
+                                       smart_sort(p, s, opt);
+                                     });
+        }
+        const std::string where =
+            "log_n=" + std::to_string(log_n) + " log_p=" + std::to_string(log_p) +
+            (strategy == schedule::ShiftStrategy::kTail ? " tail" : " head");
+        ASSERT_EQ(outs[0], want) << where;
+        for (int c = 1; c < 3; ++c) {
+          ASSERT_EQ(outs[c], outs[0]) << where << " compute=" << c;
+          for (std::size_t r = 0; r < reps[0].proc_comm.size(); ++r) {
+            EXPECT_EQ(reps[c].proc_comm[r].exchanges, reps[0].proc_comm[r].exchanges)
+                << where << " compute=" << c << " rank=" << r;
+            EXPECT_EQ(reps[c].proc_comm[r].elements_sent, reps[0].proc_comm[r].elements_sent)
+                << where << " compute=" << c << " rank=" << r;
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

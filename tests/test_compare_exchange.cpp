@@ -184,6 +184,43 @@ TEST(CompareExchange, FusedMultiStepLargeLocalArray) {
   check_fused_vs_single(BitLayout::blocked(10, 1));
 }
 
+/// A layout of 2^9 local keys on 2 processors whose first network step
+/// (stage 1, step 1: compare absolute bit 0, direction absolute bit 1)
+/// compares at local position `pos`.  The direction bit sits on the
+/// processor bit (`dir` = 0, constant per processor), at local position
+/// 8 above the compare bit (`dir` = 1), or at local position 0 below it
+/// (`dir` = 2).
+BitLayout lone_column_layout(int pos, int dir) {
+  std::vector<int> local_src(9, -1);
+  local_src[static_cast<std::size_t>(pos)] = 0;
+  std::vector<int> proc_src;
+  if (dir == 0) {
+    proc_src = {1};
+  } else {
+    local_src[dir == 1 ? 8 : 0] = 1;
+  }
+  int next = 2;
+  for (int& src : local_src) {
+    if (src < 0) src = next++;
+  }
+  if (dir != 0) proc_src = {next};
+  return BitLayout(local_src, proc_src);
+}
+
+TEST(CompareExchange, LoneFusibleColumnMatchesSingleStep) {
+  // A window holding one fusible column runs on cmpex_multistep; it must
+  // equal the scalar single-step path for every variant, every fusible
+  // compare position and every placement of the direction bit.
+  for (int pos = 0; pos <= kernel::kMaxFusedPos; ++pos) {
+    for (int dir = 0; dir < 3; ++dir) {
+      if (dir == 2 && pos == 0) continue;  // nothing below position 0
+      const auto lay = lone_column_layout(pos, dir);
+      ASSERT_EQ(lay.local_pos_of(0), pos);
+      check_fused_vs_single(lay);
+    }
+  }
+}
+
 TEST(CompareExchange, MultiStepWalkMatchesReference) {
   // Executing a window of steps with local_network_steps equals executing
   // them one by one on the reference array.

@@ -741,7 +741,9 @@ TEST(FlightRecorder, WrapAroundKeepsNewestAndCountsDropped) {
   for (std::size_t i = 0; i < snap.size(); ++i) {
     EXPECT_EQ(snap[i].a, static_cast<std::int64_t>(2 + i));  // oldest gone
     EXPECT_EQ(snap[i].seq, 2 + i);  // seq survives the overwrite
-    if (i > 0) EXPECT_GE(snap[i].t_us, snap[i - 1].t_us);
+    if (i > 0) {
+      EXPECT_GE(snap[i].t_us, snap[i - 1].t_us);
+    }
   }
 }
 

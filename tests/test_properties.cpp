@@ -36,11 +36,13 @@ TEST_P(SeedSweep, FusedMatchesTwoPhaseEverySeed) {
   auto k1 = util::generate_keys(1u << 10, util::KeyDistribution::kUniform31,
                                 GetParam() + 1000);
   auto k2 = k1;
+  bitonic::SmartOptions two_phase;
+  two_phase.compute = bitonic::SmartCompute::kTwoPhase;
   bitonic::SmartOptions fused;
   fused.compute = bitonic::SmartCompute::kFused;
   run_blocked_spmd(k1, 16, simd::MessageMode::kLong,
-                   [](simd::Proc& p, std::span<std::uint32_t> s) {
-                     bitonic::smart_sort(p, s);
+                   [&](simd::Proc& p, std::span<std::uint32_t> s) {
+                     bitonic::smart_sort(p, s, two_phase);
                    });
   run_blocked_spmd(k2, 16, simd::MessageMode::kLong,
                    [&](simd::Proc& p, std::span<std::uint32_t> s) {

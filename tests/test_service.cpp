@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <future>
@@ -297,7 +298,24 @@ TEST(SortService, HighPriorityDispatchesBeforeEarlierLowPriority) {
   // FIFO would dispatch the lows first; the class-aware queue must flip
   // that, which shows up as strictly smaller queue waits for every
   // high request (lows enqueued earlier AND dispatched later).
-  auto park = svc.submit(request_keys(std::size_t{1} << 17, 3));
+  //
+  // Enqueue nothing until the park request is running: a low request
+  // that arrives before dispatch would be batched ahead of it and never
+  // wait behind the highs.  If this thread is descheduled for the whole
+  // park run, it never sees the machine busy; park again (bounded).
+  std::future<service::SortResult> park;
+  std::uint64_t parks = 0;
+  bool parked = false;
+  while (!parked && parks < 20) {
+    park = svc.submit(request_keys(std::size_t{1} << 17, 3 + parks));
+    ++parks;
+    while (!(parked = svc.stats().pool_busy == 1) &&
+           park.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
+      std::this_thread::yield();
+    }
+    if (!parked) park.get();
+  }
+  ASSERT_TRUE(parked) << "the park request never showed as running";
   std::vector<std::future<service::SortResult>> lows;
   std::vector<std::future<service::SortResult>> highs;
   for (std::uint64_t i = 0; i < 4; ++i) {
@@ -321,7 +339,7 @@ TEST(SortService, HighPriorityDispatchesBeforeEarlierLowPriority) {
       << "low-priority requests submitted FIRST must still wait longer";
 
   const auto s = svc.stats();
-  EXPECT_EQ(s.completed, 9u);
+  EXPECT_EQ(s.completed, 8u + parks);
   // Both classes completed, so both class histograms are populated.
   EXPECT_GT(s.high_p99_us, 0.0);
   EXPECT_GT(s.low_p99_us, 0.0);

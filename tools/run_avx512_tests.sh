@@ -27,7 +27,7 @@ fi
 have_native_avx512() {
   # Linux: /proc/cpuinfo flags.  Other hosts fall through to SDE/skip.
   [ -r /proc/cpuinfo ] && grep -m1 -q 'avx512f' /proc/cpuinfo &&
-    grep -m1 -q 'avx512bw' /proc/cpuinfo && grep -m1 -q 'avx512cd' /proc/cpuinfo
+    grep -m1 -q 'avx512bw' /proc/cpuinfo
 }
 
 if have_native_avx512; then
