@@ -3,7 +3,8 @@
 // audit of the pooled exchange path (a warmed-up remap must perform
 // ZERO heap allocations — arenas, workspaces and worker threads are all
 // recycled).  The same audit covers the tracing, span-profiling and
-// hardening layers when armed.  Emits JSON on stdout for machine
+// hardening layers when armed, and the heap allocations of one warm
+// pooled parallel_sort_on call are counted.  Emits JSON on stdout for machine
 // consumption; with an output path argument it also writes a
 // bsort-bench-v1 report (BENCH_machine.json) for the CI gate.
 #include <atomic>
@@ -455,6 +456,38 @@ int main(int argc, char** argv) {
                 << " heap allocations (expected 0)\n";
       return 4;
     }
+  }
+
+  // ---- warm pooled sort call: heap allocations ------------------------
+  // One smart parallel_sort_on call on a warm pooled Machine (P=4, 2^12
+  // keys per VP).  Not zero: every call allocates its own data buffers
+  // and workspaces.  The mask plans come from the process-wide memo, so
+  // a warm call builds none of their tables.  Minimum over five calls
+  // after a warm-up call, so a stray allocation cannot move the count.
+  {
+    const int P = 4;
+    simd::Machine m(P, loggp::meiko_cs2(), simd::MessageMode::kLong);
+    api::Config cfg;
+    cfg.nprocs = P;
+    cfg.algorithm = api::Algorithm::kSmartBitonic;
+    const auto keys = util::generate_keys(std::size_t{1} << 14,
+                                          util::KeyDistribution::kUniform31, 42);
+    std::uint64_t best = 0;
+    bool sorted = true;
+    for (int rep = 0; rep < 6; ++rep) {
+      auto work = keys;
+      const std::uint64_t a0 = g_allocs.load();
+      sorted = api::parallel_sort_on(m, work, cfg).sorted && sorted;
+      const std::uint64_t allocs = g_allocs.load() - a0;
+      if (rep == 1 || (rep > 1 && allocs < best)) best = allocs;
+    }
+    if (!sorted) {
+      std::cerr << "ERROR: unsorted output in the pooled-call audit\n";
+      return 1;
+    }
+    std::cout << "  \"pooled_call\": {\"nprocs\": " << P << ", \"keys_per_proc\": " << (1 << 12)
+              << ", \"heap_allocations\": " << best << "},\n";
+    report.add_count("pooled_call/heap_allocations", static_cast<double>(best));
   }
 
   // ---- flight-recorder + service-metrics allocation audit -------------

@@ -281,6 +281,19 @@ BatchOutcome run_batch_on(simd::Machine& machine,
     return {e.deadline_seconds(), std::move(states)};
   };
 
+  // Without self_check, sortedness is checked by the VPs while their keys
+  // are still in cache: part_sorted[it * P + r] says whether the part VP r
+  // produced for item `it` is sorted (untimed, so simulated clocks are
+  // unchanged).  The caller then only compares neighbouring parts.
+  std::vector<unsigned char> part_sorted;
+  if (!config.self_check) part_sorted.assign(items.size() * P, 1);
+  const auto check_part = [&](std::size_t it, const simd::Proc& p,
+                              std::span<const std::uint32_t> part) {
+    if (part_sorted.empty()) return;
+    part_sorted[it * P + static_cast<std::size_t>(p.rank())] =
+        std::is_sorted(part.begin(), part.end()) ? 1 : 0;
+  };
+
   BatchOutcome out;
   const auto run_program = [&](simd::Proc& p) {
     std::vector<std::uint32_t> scratch;  // radix workspace, reused per VP
@@ -294,6 +307,7 @@ BatchOutcome run_batch_on(simd::Machine& machine,
         if (owner[it] == static_cast<std::size_t>(p.rank())) {
           p.timed(simd::Phase::kCompute,
                   [&] { localsort::radix_sort(keys, scratch); });
+          check_part(it, p, keys);
         }
         continue;
       }
@@ -305,6 +319,7 @@ BatchOutcome run_batch_on(simd::Machine& machine,
         } else {
           psort::parallel_sample_sort(p, mine);
         }
+        check_part(it, p, mine);
         continue;
       }
       std::span<std::uint32_t> slice(
@@ -328,6 +343,7 @@ BatchOutcome run_batch_on(simd::Machine& machine,
         default:
           break;
       }
+      check_part(it, p, slice);
     }
   };
   if (config.batch_item_ids == nullptr) {
@@ -356,8 +372,25 @@ BatchOutcome run_batch_on(simd::Machine& machine,
       // Throws IntegrityError (naming the item on batched runs).
       self_check_output(keys, before[it], keys.size() / P, single ? kNoItem : it);
       out.sorted[it] = true;
+    } else if (keys.empty()) {
+      out.sorted[it] = true;
+    } else if (local[it]) {
+      out.sorted[it] = part_sorted[it * P + owner[it]] != 0;
     } else {
-      out.sorted[it] = std::is_sorted(keys.begin(), keys.end());
+      // Every part sorted, and each non-empty part starts no lower than
+      // the last non-empty part before it (sample and radix parts vary
+      // in length and may be empty).
+      const std::size_t n = keys.size() / P;
+      bool ok = true;
+      std::span<const std::uint32_t> prev;
+      for (std::size_t r = 0; r < P && ok; ++r) {
+        const auto part = vector_based ? std::span<const std::uint32_t>(slices[it][r])
+                                       : std::span<const std::uint32_t>(keys).subspan(r * n, n);
+        ok = part_sorted[it * P + r] != 0 &&
+             (part.empty() || prev.empty() || prev.back() <= part.front());
+        if (!part.empty()) prev = part;
+      }
+      out.sorted[it] = ok;
     }
   }
   return out;

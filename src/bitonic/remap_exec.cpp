@@ -17,38 +17,34 @@ namespace {
 /// the dispatched gather kernel it replaces.
 constexpr std::size_t kMemcpyRunMin = 16;
 
-/// Rebuild `ws` for the (from, to) pair unless it is already cached.
-/// The self entry gets a zero-size slot: the kept portion is scattered
-/// directly from `in` during unpack, never staged.
+}  // namespace
+
 void prepare_workspace(RemapWorkspace& ws, const layout::BitLayout& from,
-                       const layout::BitLayout& to, std::uint64_t rank) {
+                       const layout::BitLayout& to, std::uint64_t rank, bool stage_self) {
   if (ws.from && *ws.from == from && *ws.to == to) return;
-  ws.plan = layout::build_mask_plan(from, to);
-  const std::size_t G = ws.plan.group_size();
-  const std::size_t M = ws.plan.message_size();
+  ws.plan = layout::mask_plan(from, to);
+  const std::size_t G = ws.plan->group_size();
+  const std::size_t M = ws.plan->message_size();
   ws.send_peers.resize(G);
   ws.recv_peers.resize(G);
   ws.sizes.resize(G);
   ws.has_self = false;
   for (std::size_t o = 0; o < G; ++o) {
-    ws.send_peers[o] = layout::mask_plan_dest(from, to, ws.plan, rank, o);
-    ws.recv_peers[o] = layout::mask_plan_src(from, to, ws.plan, rank, o);
+    ws.send_peers[o] = layout::mask_plan_dest(from, to, *ws.plan, rank, o);
+    ws.recv_peers[o] = layout::mask_plan_src(from, to, *ws.plan, rank, o);
+    ws.sizes[o] = M;
     if (ws.send_peers[o] == rank) {
       ws.has_self = true;
       ws.self_send = o;
-      ws.sizes[o] = 0;
-    } else {
-      ws.sizes[o] = M;
+      if (!stage_self) ws.sizes[o] = 0;
     }
   }
-  ws.group_log2 = layout::bits_changed(from, to);
+  ws.group_log2 = ws.plan->bits_changed;
   ws.from_tag = classify_layout(from);
   ws.to_tag = classify_layout(to);
   ws.from = from;
   ws.to = to;
 }
-
-}  // namespace
 
 trace::LayoutTag classify_layout(const layout::BitLayout& lay) {
   const int log_n = lay.log_local();
@@ -104,45 +100,46 @@ void remap_data_into(simd::Proc& p, const layout::BitLayout& from,
   obs::ScopedSpan remap_span(p, obs::SpanKind::kRemap,
                              static_cast<std::int32_t>(p.comm().exchanges));
 
-  // Plan construction (cached across repeats of the same layout pair).
-  p.timed(simd::Phase::kPack, [&] { prepare_workspace(ws, from, to, rank); });
+  // Plan lookup (cached across repeats of the same layout pair).
+  p.timed(simd::Phase::kPack, [&] { prepare_workspace(ws, from, to, rank, false); });
 
   p.trace_remap(ws.group_log2, ws.from_tag, ws.to_tag);
   p.open_exchange(ws.send_peers, ws.sizes, ws.recv_peers);
 
   // Pack into the pooled arena: memcpy runs where the plan coalesces,
   // one dispatched gather per message otherwise.
+  const layout::MaskPlan& plan = *ws.plan;
   p.timed(simd::Phase::kPack, [&] {
-    for (std::size_t o = 0; o < ws.plan.group_size(); ++o) {
+    for (std::size_t o = 0; o < plan.group_size(); ++o) {
       if (ws.send_peers[o] == rank) continue;  // kept portion: handled in unpack
-      pack_message(p.send_slot(o), in, ws.plan.kept_order.data(),
-                   ws.plan.dest_pattern[o], ws.plan.pack_run_log2);
+      pack_message(p.send_slot(o), in, plan.kept_order.data(), plan.dest_pattern[o],
+                   plan.pack_run_log2);
     }
   });
 
   p.commit_exchange();
 
   p.timed(simd::Phase::kUnpack, [&] {
-    const std::size_t M = ws.plan.message_size();
-    for (std::size_t o = 0; o < ws.plan.group_size(); ++o) {
-      const std::uint32_t spat = ws.plan.src_pattern[o];
+    const std::size_t M = plan.message_size();
+    for (std::size_t o = 0; o < plan.group_size(); ++o) {
+      const std::uint32_t spat = plan.src_pattern[o];
       if (ws.recv_peers[o] == rank) {
         // Self portion: sender order and receiver order are both
         // ascending destination local address, so index j matches.
         // Runs coalesce only as far as BOTH sides stay contiguous.
         assert(ws.has_self);
-        const std::uint32_t dpat = ws.plan.dest_pattern[ws.self_send];
+        const std::uint32_t dpat = plan.dest_pattern[ws.self_send];
         const std::size_t run =
-            std::uint64_t{1} << std::min(ws.plan.pack_run_log2, ws.plan.unpack_run_log2);
+            std::uint64_t{1} << std::min(plan.pack_run_log2, plan.unpack_run_log2);
         if (run >= kMemcpyRunMin) {
           for (std::size_t q = 0; q < M; q += run) {
-            std::memcpy(out.data() + (ws.plan.recv_order[q] | spat),
-                        in.data() + (ws.plan.kept_order[q] | dpat),
+            std::memcpy(out.data() + (plan.recv_order[q] | spat),
+                        in.data() + (plan.kept_order[q] | dpat),
                         run * sizeof(std::uint32_t));
           }
         } else {
           for (std::size_t j = 0; j < M; ++j) {
-            out[ws.plan.recv_order[j] | spat] = in[ws.plan.kept_order[j] | dpat];
+            out[plan.recv_order[j] | spat] = in[plan.kept_order[j] | dpat];
           }
         }
       } else {
@@ -158,8 +155,8 @@ void remap_data_into(simd::Proc& p, const layout::BitLayout& from,
                               static_cast<std::int64_t>(ws.recv_peers[o]),
                               static_cast<std::int64_t>(o));
         }
-        unpack_message(out, msg, ws.plan.recv_order.data(), spat,
-                       ws.plan.unpack_run_log2);
+        unpack_message(out, msg, plan.recv_order.data(), spat,
+                       plan.unpack_run_log2);
       }
     }
   });

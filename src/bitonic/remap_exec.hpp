@@ -1,19 +1,21 @@
 // Execution of a data remap (layout change) on the simulated machine
-// using the mask-based pack/unpack of Section 3.3: build the (rank-
+// using the mask-based pack/unpack of Section 3.3: fetch the (rank-
 // independent) mask plan, gather per-peer messages with one table lookup
 // per key straight into the VP's pooled exchange arena, transfer, scatter
 // on arrival from the received views.  Pack and unpack are charged to
 // their own phases so the breakdown experiments (Table 5.4 / Figure 5.6)
 // can report them separately.
 //
-// Callers that remap repeatedly thread a RemapWorkspace through the
-// calls: the mask plan and peer tables are cached per (from, to) pair
-// and every vector reuses its capacity, so a steady-state remap performs
-// zero heap allocations (the pooled Machine arena is likewise
-// persistent).
+// The mask plan comes from layout::mask_plan, so every VP of every call
+// shares one copy per layout pair.  Callers that remap repeatedly thread
+// a RemapWorkspace through the calls: the plan pointer and peer tables
+// are cached per (from, to) pair and every vector reuses its capacity, so
+// a steady-state remap performs zero heap allocations (the pooled
+// Machine arena is likewise persistent).
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -24,13 +26,14 @@
 
 namespace bsort::bitonic {
 
-/// Reusable per-VP remap state: the mask plan plus peer/size tables for
-/// the most recent (from, to) layout pair.  Rebuilding is skipped when
-/// the pair repeats; otherwise the vectors recycle their capacity.
+/// Reusable per-VP remap state: the shared mask plan plus this rank's
+/// peer/size tables for the most recent (from, to) layout pair.
+/// Rebuilding is skipped when the pair repeats; otherwise the vectors
+/// recycle their capacity.
 struct RemapWorkspace {
   std::optional<layout::BitLayout> from;  ///< cache key (layout pair)
   std::optional<layout::BitLayout> to;
-  layout::MaskPlan plan;
+  std::shared_ptr<const layout::MaskPlan> plan;
   std::vector<std::uint64_t> send_peers;
   std::vector<std::uint64_t> recv_peers;
   std::vector<std::size_t> sizes;
@@ -42,6 +45,14 @@ struct RemapWorkspace {
   trace::LayoutTag from_tag = trace::LayoutTag::kUnknown;
   trace::LayoutTag to_tag = trace::LayoutTag::kUnknown;
 };
+
+/// Point `ws` at the (from, to) plan and derive this rank's peers, unless
+/// it already holds that pair.  With `stage_self` the self slot is sized
+/// like every other message (the fused merge reads it back as a run);
+/// otherwise it is empty and the kept portion is moved during unpack.  A
+/// workspace is used with one `stage_self` value throughout.
+void prepare_workspace(RemapWorkspace& ws, const layout::BitLayout& from,
+                       const layout::BitLayout& to, std::uint64_t rank, bool stage_self);
 
 /// Coarse classification of a layout for trace records.
 trace::LayoutTag classify_layout(const layout::BitLayout& lay);

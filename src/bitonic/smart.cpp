@@ -52,35 +52,19 @@ void fused_inside_window(simd::Proc& p, std::span<const std::uint32_t> in,
   // A rank need not appear among its own peers: some remaps along a
   // schedule are asymmetric (a rank's send group and receive group are
   // different processor sets) and a rank may keep nothing.
-  p.timed(simd::Phase::kPack, [&] {
-    if (!ws.from || *ws.from != from || *ws.to != to) {
-      ws.plan = layout::build_mask_plan(from, to);
-      const std::size_t G = ws.plan.group_size();
-      ws.send_peers.resize(G);
-      ws.recv_peers.resize(G);
-      ws.sizes.assign(G, ws.plan.message_size());
-      for (std::size_t o = 0; o < G; ++o) {
-        ws.send_peers[o] = layout::mask_plan_dest(from, to, ws.plan, rank, o);
-        ws.recv_peers[o] = layout::mask_plan_src(from, to, ws.plan, rank, o);
-      }
-      ws.group_log2 = layout::bits_changed(from, to);
-      ws.from_tag = classify_layout(from);
-      ws.to_tag = classify_layout(to);
-      ws.from = from;
-      ws.to = to;
-    }
-  });
+  p.timed(simd::Phase::kPack, [&] { prepare_workspace(ws, from, to, rank, true); });
 
   p.trace_remap(ws.group_log2, ws.from_tag, ws.to_tag);
   p.open_exchange(ws.send_peers, ws.sizes, ws.recv_peers);
 
+  const layout::MaskPlan& plan = *ws.plan;
   p.timed(simd::Phase::kPack, [&] {
-    for (std::size_t o = 0; o < ws.plan.group_size(); ++o) {
+    for (std::size_t o = 0; o < plan.group_size(); ++o) {
       // Source-order packing: each message is a subsequence of this
       // rank's value-sorted array, hence a monotonic run.  Coalesced to
       // memcpy runs / gather kernels like the scatter remap.
-      pack_message(p.send_slot(o), in, ws.plan.kept_order_source.data(),
-                   ws.plan.dest_pattern[o], ws.plan.pack_run_source_log2);
+      pack_message(p.send_slot(o), in, plan.kept_order_source.data(), plan.dest_pattern[o],
+                   plan.pack_run_source_log2);
     }
   });
 

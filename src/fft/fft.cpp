@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <numbers>
 
 #include "layout/bit_layout.hpp"
@@ -52,14 +53,15 @@ void remap_complex(simd::Proc& p, const layout::BitLayout& from,
                    std::span<Complex> out) {
   assert(in.size() == out.size());
   const auto rank = static_cast<std::uint64_t>(p.rank());
-  layout::MaskPlan plan;
+  std::shared_ptr<const layout::MaskPlan> shared;
   std::vector<std::uint64_t> send_peers;
   std::vector<std::uint64_t> recv_peers;
   std::vector<std::vector<std::uint32_t>> payloads;
   bool has_self = false;
   std::size_t self_send = 0;
+  p.timed(simd::Phase::kPack, [&] { shared = layout::mask_plan(from, to); });
+  const layout::MaskPlan& plan = *shared;
   p.timed(simd::Phase::kPack, [&] {
-    plan = layout::build_mask_plan(from, to);
     const std::size_t G = plan.group_size();
     const std::size_t M = plan.message_size();
     send_peers.resize(G);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <list>
+#include <mutex>
 
 #include "util/bits.hpp"
 
@@ -113,8 +115,7 @@ namespace {
 
 /// Scatter the bits of every j in [0, 2^positions.size()) onto the given
 /// bit positions (bit i of j lands at positions[i]).  Built bottom-up by
-/// doubling — each entry costs O(1) instead of O(|positions|), which
-/// matters because these tables are rebuilt at every remap.
+/// doubling — each entry costs O(1) instead of O(|positions|).
 std::vector<std::uint32_t> scatter_table(const std::vector<int>& positions) {
   std::vector<std::uint32_t> table(std::size_t{1} << positions.size());
   table[0] = 0;
@@ -195,6 +196,104 @@ MaskPlan build_mask_plan(const BitLayout& from, const BitLayout& to) {
   plan.src_pattern = scatter_table(shaded_to);
   plan.unpack_run_log2 = identity_prefix(kept_to);
   return plan;
+}
+
+std::size_t MaskPlan::table_bytes() const {
+  return sizeof(std::uint32_t) *
+         (kept_order.capacity() + dest_pattern.capacity() + recv_order.capacity() +
+          src_pattern.capacity() + kept_order_source.capacity());
+}
+
+namespace {
+
+/// FNV-1a over both layouts' bit assignments: a cheap filter in front of
+/// the full layout comparison.
+std::uint64_t pair_hash(const BitLayout& from, const BitLayout& to) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](const std::vector<int>& v) {
+    for (const int x : v) h = (h ^ static_cast<std::uint64_t>(x + 1)) * 0x100000001b3ull;
+    h = (h ^ 0xffu) * 0x100000001b3ull;  // separator
+  };
+  mix(from.local_src());
+  mix(from.proc_src());
+  mix(to.local_src());
+  mix(to.proc_src());
+  return h;
+}
+
+struct MemoEntry {
+  std::uint64_t hash;
+  BitLayout from;
+  BitLayout to;
+  std::shared_ptr<const MaskPlan> plan;
+  std::size_t bytes;
+};
+
+/// Bytes an entry keeps alive: its tables plus the node and both layouts
+/// (each layout holds lg N ints of bit sources and a 64-entry position map).
+std::size_t entry_bytes(const BitLayout& from, const MaskPlan& plan) {
+  const std::size_t layout_bytes =
+      sizeof(BitLayout) + sizeof(int) * (static_cast<std::size_t>(from.log_total()) + 64);
+  return plan.table_bytes() + sizeof(MaskPlan) + sizeof(MemoEntry) + 2 * layout_bytes +
+         4 * sizeof(void*);
+}
+
+struct Memo {
+  std::mutex mu;
+  std::list<MemoEntry> lru;  ///< most recently used first
+  MaskPlanMemoStats stats;
+};
+
+Memo& memo() {
+  static Memo m;
+  return m;
+}
+
+std::list<MemoEntry>::iterator find_entry(Memo& m, std::uint64_t hash, const BitLayout& from,
+                                          const BitLayout& to) {
+  return std::find_if(m.lru.begin(), m.lru.end(), [&](const MemoEntry& e) {
+    return e.hash == hash && e.from == from && e.to == to;
+  });
+}
+
+}  // namespace
+
+std::shared_ptr<const MaskPlan> mask_plan(const BitLayout& from, const BitLayout& to) {
+  Memo& m = memo();
+  const std::uint64_t hash = pair_hash(from, to);
+  {
+    std::lock_guard<std::mutex> lk(m.mu);
+    const auto it = find_entry(m, hash, from, to);
+    if (it != m.lru.end()) {
+      m.lru.splice(m.lru.begin(), m.lru, it);
+      ++m.stats.hits;
+      return it->plan;
+    }
+    ++m.stats.misses;
+  }
+  // Built outside the lock so a cold pair does not stall lookups of other
+  // pairs.  VPs that miss on the same pair at once each build a copy; the
+  // first one inserted is the one everybody keeps.
+  auto plan = std::make_shared<const MaskPlan>(build_mask_plan(from, to));
+  const std::size_t bytes = entry_bytes(from, *plan);
+  if (bytes > kMaskPlanMemoBudget) return plan;
+  std::lock_guard<std::mutex> lk(m.mu);
+  const auto it = find_entry(m, hash, from, to);
+  if (it != m.lru.end()) return it->plan;
+  m.lru.push_front({hash, from, to, plan, bytes});
+  m.stats.bytes += bytes;
+  while (m.stats.bytes > kMaskPlanMemoBudget) {
+    m.stats.bytes -= m.lru.back().bytes;
+    m.lru.pop_back();
+  }
+  m.stats.entries = m.lru.size();
+  return plan;
+}
+
+MaskPlanMemoStats mask_plan_memo_stats() {
+  Memo& m = memo();
+  std::lock_guard<std::mutex> lk(m.mu);
+  return m.stats;
 }
 
 std::uint64_t mask_plan_dest(const BitLayout& from, const BitLayout& to,

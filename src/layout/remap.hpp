@@ -18,7 +18,9 @@
 // pairs where they may differ.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "layout/bit_layout.hpp"
@@ -112,9 +114,35 @@ struct MaskPlan {
   [[nodiscard]] std::uint64_t pack_run_source() const {
     return std::uint64_t{1} << pack_run_source_log2;
   }
+  /// Heap bytes held by the five index tables.
+  [[nodiscard]] std::size_t table_bytes() const;
 };
 
 MaskPlan build_mask_plan(const BitLayout& from, const BitLayout& to);
+
+/// Byte budget of the mask_plan memo: tables plus per-entry bookkeeping
+/// (layouts, list node).  The 20 layout pairs the end-to-end benchmark
+/// touches (P=4 bulk sorts of 2^19 and 2^15 keys, P=2 service shapes of
+/// 2^14..2^18 keys) retain 5.6 MB; the budget keeps all of them with
+/// room for a few more shapes.
+inline constexpr std::size_t kMaskPlanMemoBudget = std::size_t{8} << 20;
+
+/// The plan of build_mask_plan(from, to), shared by every caller: a
+/// thread-safe, process-wide memo keyed by the layout pair, least
+/// recently used entries evicted once the retained bytes would exceed
+/// kMaskPlanMemoBudget.  A plan larger than the whole budget is built
+/// and returned but not kept.  A hit takes one lock and allocates
+/// nothing.
+std::shared_ptr<const MaskPlan> mask_plan(const BitLayout& from, const BitLayout& to);
+
+/// What the memo holds right now.
+struct MaskPlanMemoStats {
+  std::size_t entries = 0;
+  std::size_t bytes = 0;  ///< retained, as charged against kMaskPlanMemoBudget
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+};
+MaskPlanMemoStats mask_plan_memo_stats();
 
 /// Destination processor of the message with shaded pattern
 /// plan.dest_pattern[o], for a given sender rank.

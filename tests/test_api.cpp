@@ -349,6 +349,158 @@ TEST(ApiBatch, BarrierTimeoutNamesTheOwningRequest) {
   machine.set_watchdog(0);  // disarm for any later reuse of the machine
 }
 
+// ---- the sorted flag -------------------------------------------------
+// Without self_check, Outcome::sorted and BatchOutcome::sorted must equal
+// std::is_sorted of the output, whether or not the run was damaged.
+
+constexpr Algorithm kAllAlgorithms[] = {
+    Algorithm::kSmartBitonic,  Algorithm::kCyclicBlockedBitonic, Algorithm::kBlockedMergeBitonic,
+    Algorithm::kNaiveBitonic,  Algorithm::kParallelRadix,        Algorithm::kSampleSort,
+    Algorithm::kColumnSort};
+
+/// A one-bit corruption of VP 1's send slot at exchange `exchange`, with
+/// integrity checking off so the damage reaches the output.
+fault::FaultPlan corrupt_at(std::uint64_t exchange, std::uint32_t bit) {
+  fault::FaultPlan plan;
+  plan.rules.push_back({fault::FaultKind::kCorrupt, 1, exchange, 0, 0, bit, 1});
+  return plan;
+}
+
+/// Exchanges whose payload is keys only.  Radix sort's histogram
+/// exchanges carry counts it indexes with, so only its last exchange (the
+/// data of pass 4 of 4) is damaged: a rule that finds no eligible slot
+/// there never fires, instead of moving on to a histogram.
+std::vector<std::uint64_t> key_exchanges(Algorithm a) {
+  if (a == Algorithm::kParallelRadix) return {7};
+  return {0, 1, 2, 3};
+}
+
+bool keys_sorted(const std::vector<std::uint32_t>& keys) {
+  return std::is_sorted(keys.begin(), keys.end());
+}
+
+TEST(ApiSortedFlag, MatchesOutputOnCleanAndCorruptedRuns) {
+  simd::Machine machine(4, loggp::meiko_cs2(), simd::MessageMode::kLong);
+  int unsorted_runs = 0;
+  for (const auto algorithm : kAllAlgorithms) {
+    Config cfg;
+    cfg.nprocs = 4;
+    cfg.algorithm = algorithm;
+    auto keys = util::generate_keys(1u << 10, util::KeyDistribution::kUniform31, 21);
+    const auto clean = parallel_sort_on(machine, keys, cfg);
+    EXPECT_TRUE(clean.sorted) << algorithm_name(algorithm);
+    EXPECT_TRUE(keys_sorted(keys)) << algorithm_name(algorithm);
+
+    cfg.integrity = false;
+    for (const auto exchange : key_exchanges(algorithm)) {
+      for (const std::uint32_t bit : {30u, 61u, 190u, 607u}) {
+        const auto plan = corrupt_at(exchange, bit);
+        cfg.faults = &plan;
+        keys = util::generate_keys(1u << 10, util::KeyDistribution::kUniform31, 21);
+        try {
+          const auto out = parallel_sort_on(machine, keys, cfg);
+          EXPECT_EQ(out.sorted, keys_sorted(keys))
+              << algorithm_name(algorithm) << " exchange " << exchange << " bit " << bit;
+          unsorted_runs += keys_sorted(keys) ? 0 : 1;
+        } catch (const bsort::Error&) {
+          // A sort's own checks may reject the damaged payload.
+        }
+      }
+    }
+  }
+  EXPECT_GT(unsorted_runs, 0) << "no corruption reached an output: the check has no teeth";
+}
+
+TEST(ApiSortedFlag, InversionOnlyAtAVpBoundary) {
+  // Damaging the splitter sample of sample sort makes one VP partition
+  // with different splitters than the others.  Each VP still merges
+  // sorted runs, so every part stays sorted and any inversion sits where
+  // one part ends and the next begins.
+  simd::Machine machine(4, loggp::meiko_cs2(), simd::MessageMode::kLong);
+  Config cfg;
+  cfg.nprocs = 4;
+  cfg.algorithm = Algorithm::kSampleSort;
+  cfg.integrity = false;
+  const auto input = util::generate_keys(1u << 12, util::KeyDistribution::kUniform31, 33);
+  int boundary_only = 0;
+  for (std::uint32_t bit = 0; bit < 256; bit += 5) {
+    const auto plan = corrupt_at(0, bit);
+    cfg.faults = &plan;
+    auto keys = input;
+    const auto out = parallel_sort_on(machine, keys, cfg);
+    EXPECT_EQ(out.sorted, keys_sorted(keys)) << "bit " << bit;
+    std::size_t descents = 0;
+    for (std::size_t i = 0; i + 1 < keys.size(); ++i) descents += keys[i] > keys[i + 1] ? 1 : 0;
+    EXPECT_LE(descents, 3u) << "bit " << bit << ": an inversion inside a part";
+    if (descents == 1) ++boundary_only;
+  }
+  EXPECT_GT(boundary_only, 0) << "no damaged sample produced a lone boundary inversion";
+}
+
+TEST(ApiSortedFlag, EmptyPartsAreSkipped) {
+  // Heavy duplicates leave sample and radix sort with empty parts; the
+  // boundary check compares only neighbouring non-empty parts, on clean
+  // and damaged runs alike.
+  simd::Machine machine(4, loggp::meiko_cs2(), simd::MessageMode::kLong);
+  std::vector<std::uint32_t> input(1u << 10, 7);
+  for (std::size_t i = 0; i < input.size(); i += 97) input[i] = 3;
+  input[5] = 1u << 30;
+  for (const auto algorithm : {Algorithm::kSampleSort, Algorithm::kParallelRadix}) {
+    Config cfg;
+    cfg.nprocs = 4;
+    cfg.algorithm = algorithm;
+    auto keys = input;
+    EXPECT_TRUE(parallel_sort_on(machine, keys, cfg).sorted) << algorithm_name(algorithm);
+    EXPECT_TRUE(keys_sorted(keys));
+    cfg.integrity = false;
+    for (const auto exchange : key_exchanges(algorithm)) {
+      for (std::uint32_t bit = 1; bit < 200; bit += 13) {
+        const auto plan = corrupt_at(exchange, bit);
+        cfg.faults = &plan;
+        keys = input;
+        try {
+          const auto out = parallel_sort_on(machine, keys, cfg);
+          EXPECT_EQ(out.sorted, keys_sorted(keys))
+              << algorithm_name(algorithm) << " exchange " << exchange << " bit " << bit;
+        } catch (const bsort::Error&) {
+        }
+      }
+    }
+  }
+}
+
+TEST(ApiSortedFlag, BatchMixingLocalAndScatteredItems) {
+  simd::Machine machine(4, loggp::meiko_cs2(), simd::MessageMode::kLong);
+  for (const auto algorithm : kAllAlgorithms) {
+    Config cfg;
+    cfg.nprocs = 4;
+    cfg.algorithm = algorithm;
+    cfg.small_item_threshold = 256;
+    cfg.integrity = false;
+    for (const std::uint32_t bit : {0u, 45u, 333u}) {
+      std::vector<std::vector<std::uint32_t>> reqs = {
+          util::generate_keys(128, util::KeyDistribution::kUniform31, 1),
+          util::generate_keys(1u << 10, util::KeyDistribution::kUniform31, 2),
+          {},
+          util::generate_keys(64, util::KeyDistribution::kUniform31, 3),
+          util::generate_keys(1u << 11, util::KeyDistribution::kUniform31, 4)};
+      std::vector<std::vector<std::uint32_t>*> items;
+      for (auto& r : reqs) items.push_back(&r);
+      // Radix: the last data exchange of the batch (2 scattered items x 8).
+      const auto plan = corrupt_at(algorithm == Algorithm::kParallelRadix ? 15 : 0, bit);
+      cfg.faults = bit == 0 ? nullptr : &plan;
+      try {
+        const auto out = parallel_sort_batch_on(machine, items, cfg);
+        for (std::size_t i = 0; i < reqs.size(); ++i) {
+          EXPECT_EQ(out.sorted[i], keys_sorted(reqs[i]))
+              << algorithm_name(algorithm) << " bit " << bit << " item " << i;
+        }
+      } catch (const bsort::Error&) {
+      }
+    }
+  }
+}
+
 TEST(ApiBatch, InvalidItemNamesItsIndexAndConstraint) {
   simd::Machine machine(4, loggp::meiko_cs2(), simd::MessageMode::kLong);
   Config cfg;

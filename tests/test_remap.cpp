@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "schedule/smart_schedule.hpp"
@@ -153,6 +155,130 @@ TEST(Remap, MaskShadedBitsDetermineDestination) {
         EXPECT_EQ(to.proc_of(from.abs_of(pr, l1)), to.proc_of(from.abs_of(pr, l2)));
       }
     }
+  }
+}
+
+// ---- the process-wide mask-plan memo ---------------------------------
+
+/// Blocked <-> cyclic plus every remap a sort runs along the smart
+/// schedule: layout to layout, and through phase 2 of crossing windows.
+std::vector<std::pair<BitLayout, BitLayout>> remap_pairs(int log_n, int log_p) {
+  const auto blocked = BitLayout::blocked(log_n, log_p);
+  const auto cyclic = BitLayout::cyclic(log_n, log_p);
+  std::vector<std::pair<BitLayout, BitLayout>> pairs = {{blocked, cyclic}, {cyclic, blocked}};
+  auto prev = blocked;
+  auto prev2 = blocked;
+  for (const auto& phase : schedule::make_smart_schedule(log_n, log_p).remaps) {
+    pairs.emplace_back(prev, phase.layout);
+    if (!(prev2 == prev)) pairs.emplace_back(prev2, phase.layout);
+    prev = phase.layout;
+    prev2 = phase.params.kind == SmartKind::kCrossing
+                ? BitLayout::smart_phase2(log_n, log_p, phase.params)
+                : phase.layout;
+  }
+  return pairs;
+}
+
+void expect_same_plan(const MaskPlan& got, const MaskPlan& want) {
+  EXPECT_EQ(got.bits_changed, want.bits_changed);
+  EXPECT_EQ(got.kept_order, want.kept_order);
+  EXPECT_EQ(got.dest_pattern, want.dest_pattern);
+  EXPECT_EQ(got.recv_order, want.recv_order);
+  EXPECT_EQ(got.src_pattern, want.src_pattern);
+  EXPECT_EQ(got.kept_order_source, want.kept_order_source);
+  EXPECT_EQ(got.pack_run_log2, want.pack_run_log2);
+  EXPECT_EQ(got.unpack_run_log2, want.unpack_run_log2);
+  EXPECT_EQ(got.pack_run_source_log2, want.pack_run_source_log2);
+}
+
+TEST(Remap, MaskPlanCacheMatchesBuild) {
+  for (auto [log_n, log_p] : {std::pair{4, 3}, {6, 3}, {3, 2}, {2, 5}, {10, 2}, {7, 1}}) {
+    for (const auto& [from, to] : remap_pairs(log_n, log_p)) {
+      const auto plan = mask_plan(from, to);
+      ASSERT_NE(plan, nullptr);
+      expect_same_plan(*plan, build_mask_plan(from, to));
+    }
+  }
+}
+
+TEST(Remap, MaskPlanCacheRepeatReturnsSamePointer) {
+  const auto from = BitLayout::blocked(9, 2);
+  const auto to = BitLayout::cyclic(9, 2);
+  const auto before = mask_plan_memo_stats();
+  const auto first = mask_plan(from, to);
+  const auto second = mask_plan(from, to);
+  EXPECT_EQ(first.get(), second.get());
+  const auto after = mask_plan_memo_stats();
+  EXPECT_GE(after.hits, before.hits + 1);
+  EXPECT_LE(after.bytes, kMaskPlanMemoBudget);
+}
+
+TEST(Remap, MaskPlanCacheStaysWithinBudget) {
+  // Blocked <-> cyclic at P = 2 and growing n: each pair holds about
+  // 6n bytes of tables, so these pairs together far exceed the budget.
+  std::size_t offered = 0;
+  for (int log_n = 12; log_n <= 20; ++log_n) {
+    for (const auto& [from, to] : remap_pairs(log_n, 1)) {
+      const auto plan = mask_plan(from, to);
+      offered += plan->table_bytes();
+      EXPECT_EQ(plan->message_size() * plan->group_size(), from.local_size());
+      const auto st = mask_plan_memo_stats();
+      ASSERT_LE(st.bytes, kMaskPlanMemoBudget) << "log_n " << log_n;
+    }
+  }
+  ASSERT_GT(offered, 2 * kMaskPlanMemoBudget);
+  // Evicted plans come back correct, and a plan larger than the whole
+  // budget is handed out without being kept.
+  expect_same_plan(*mask_plan(BitLayout::blocked(12, 1), BitLayout::cyclic(12, 1)),
+                   build_mask_plan(BitLayout::blocked(12, 1), BitLayout::cyclic(12, 1)));
+  const auto huge_from = BitLayout::blocked(21, 1);
+  const auto huge_to = BitLayout::cyclic(21, 1);
+  const auto huge = mask_plan(huge_from, huge_to);
+  EXPECT_GT(huge->table_bytes(), kMaskPlanMemoBudget);
+  EXPECT_NE(mask_plan(huge_from, huge_to).get(), huge.get());
+  EXPECT_LE(mask_plan_memo_stats().bytes, kMaskPlanMemoBudget);
+}
+
+TEST(Remap, MaskPlanCacheConcurrentLookups) {
+  // 8 threads look up a mix of pairs in different orders; every plan must
+  // match a fresh build, and threads share one copy of each pair.
+  std::vector<std::pair<BitLayout, BitLayout>> pairs;
+  for (auto [log_n, log_p] : {std::pair{8, 2}, {6, 3}, {9, 1}}) {
+    const auto more = remap_pairs(log_n, log_p);
+    pairs.insert(pairs.end(), more.begin(), more.end());
+  }
+  std::vector<MaskPlan> want;
+  for (const auto& [from, to] : pairs) want.push_back(build_mask_plan(from, to));
+
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 50;
+  std::vector<std::vector<const MaskPlan*>> seen(kThreads,
+                                                 std::vector<const MaskPlan*>(pairs.size()));
+  std::vector<int> wrong(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        for (std::size_t k = 0; k < pairs.size(); ++k) {
+          const std::size_t i = (k * 7 + static_cast<std::size_t>(t + round)) % pairs.size();
+          const auto plan = mask_plan(pairs[i].first, pairs[i].second);
+          const MaskPlan& w = want[i];
+          if (plan->kept_order != w.kept_order || plan->recv_order != w.recv_order ||
+              plan->kept_order_source != w.kept_order_source ||
+              plan->dest_pattern != w.dest_pattern || plan->src_pattern != w.src_pattern) {
+            ++wrong[static_cast<std::size_t>(t)];
+          }
+          seen[static_cast<std::size_t>(t)][i] = plan.get();
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(wrong[static_cast<std::size_t>(t)], 0) << "thread " << t;
+    // These pairs fit the budget many times over: nothing was evicted
+    // once inserted, so the last lookups all agree.
+    EXPECT_EQ(seen[static_cast<std::size_t>(t)], seen[0]) << "thread " << t;
   }
 }
 
