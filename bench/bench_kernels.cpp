@@ -8,8 +8,9 @@
 // "baseline" is a faithful copy of the pre-kernel-layer code: the
 // branchy one-key-per-iteration compare-exchange of the old
 // local_network_step, the 4x(count+scatter) radix ladder with separate
-// complement-flip passes for descending order, and the per-key pack
-// gather of the old remap_exec.  The acceptance bar for the kernel
+// complement-flip passes for descending order, the per-key pack gather
+// of the old remap_exec, and the per-key std::min keep-the-minimum loop
+// of the old blocked-merge remote step.  The acceptance bar for the kernel
 // layer is >= 1.5x on radix sort and >= 2x on compare-exchange steps
 // against these; the fused multi-step sweep must additionally beat the
 // column-at-a-time path of the SAME dispatched variant
@@ -191,15 +192,32 @@ double gather_keys_per_sec(bool baseline) {
   return static_cast<double>(plan.message_size() * plan.group_size()) / us * 1e6;
 }
 
-constexpr std::array<const char*, 3> kRows = {"radix_sort", "compare_exchange",
-                                              "pack_gather"};
+/// keys/sec for the keep-the-minimum half of a whole-block exchange
+/// (dst[i] = min(dst[i], src[i])), which blocked-merge's remote steps run.
+double keep_min_keys_per_sec(bool baseline) {
+  const auto src = util::generate_keys(kKeys, util::KeyDistribution::kUniform31, 5);
+  auto dst = util::generate_keys(kKeys, util::KeyDistribution::kUniform31, 6);
+  const auto& K = kernel::active();
+  const double us = time_us(5, [&] {
+    if (baseline) {
+      for (std::size_t i = 0; i < kKeys; ++i) dst[i] = std::min(dst[i], src[i]);
+    } else {
+      K.keep_min(dst.data(), src.data(), kKeys);
+    }
+  });
+  return static_cast<double>(kKeys) / us * 1e6;
+}
 
-/// All three row measurements under whichever kernel table is active.
+constexpr std::array<const char*, 4> kRows = {"radix_sort", "compare_exchange",
+                                              "pack_gather", "keep_min"};
+
+/// All row measurements under whichever kernel table is active.
 std::map<std::string, double> measure_rows(bool baseline) {
   std::map<std::string, double> r;
   r["radix_sort"] = radix_keys_per_sec(baseline);
   r["compare_exchange"] = cmpex_keys_per_sec(baseline);
   r["pack_gather"] = gather_keys_per_sec(baseline);
+  r["keep_min"] = keep_min_keys_per_sec(baseline);
   return r;
 }
 

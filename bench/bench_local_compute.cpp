@@ -1,9 +1,6 @@
-// Ablation for Chapter 4: local-computation strategies of the smart sort
-// — the network steps on the fused multi-step kernel (the default) vs
-// the two-phase bitonic merge sorts (Theorems 2/3) vs the fused
-// unpack+merge (Section 4.3) —
-// plus the kernel-level ablation of the fused multi-step network sweep
-// vs column-at-a-time, per dispatch variant.
+// Local-computation ablations of the smart sort (Chapter 4): its compute
+// time under every kernel dispatch variant, and the fused multi-step
+// network sweep vs column-at-a-time, per dispatch variant.
 #include <algorithm>
 #include <iostream>
 
@@ -55,49 +52,11 @@ int main() {
   using namespace bsort;
   const int P = 16;
   const double scale = bench::meiko_cpu_scale();
-  std::cout << "=== Chapter 4 ablation: local computation strategies, smart "
-               "sort, "
-            << P << " processors (us/key) ===\n\n";
-
-  util::Table t({"Keys/proc", "network", "two-phase", "fused", "network speedup"});
-  for (const std::size_t n : bench::keys_per_proc_sweep()) {
-    const std::size_t total = n * static_cast<std::size_t>(P);
-    bitonic::SmartOptions nw, tp, fu;
-    nw.compute = bitonic::SmartCompute::kNetwork;
-    tp.compute = bitonic::SmartCompute::kTwoPhase;
-    fu.compute = bitonic::SmartCompute::kFused;
-    const auto rnw = bench::run_blocked_sort(
-        total, P, simd::MessageMode::kLong, scale,
-        [&](simd::Proc& p, std::span<std::uint32_t> s) { bitonic::smart_sort(p, s, nw); });
-    const auto rtp = bench::run_blocked_sort(
-        total, P, simd::MessageMode::kLong, scale,
-        [&](simd::Proc& p, std::span<std::uint32_t> s) { bitonic::smart_sort(p, s, tp); });
-    const auto rfu = bench::run_blocked_sort(
-        total, P, simd::MessageMode::kLong, scale,
-        [&](simd::Proc& p, std::span<std::uint32_t> s) { bitonic::smart_sort(p, s, fu); });
-    if (!rnw.ok || !rtp.ok || !rfu.ok) {
-      std::cerr << "ERROR: unsorted output\n";
-      return 1;
-    }
-    const double dn = static_cast<double>(n);
-    t.add_row({bench::size_label(n), util::Table::fmt(rnw.compute_us / dn, 3),
-               util::Table::fmt(rtp.compute_us / dn, 3),
-               util::Table::fmt(rfu.compute_us / dn, 3),
-               util::Table::fmt(rtp.compute_us / rnw.compute_us, 2) + "x"});
-  }
-  t.print(std::cout);
-  std::cout << "\nExpected shape: the network path beats the two-phase merges "
-               "(speedup = two-phase / network > 1).  The thesis found the "
-               "reverse on 1996 hardware, where every network step was a "
-               "memory sweep; the fused kernel runs the low-stride steps in "
-               "registers/L1.\n";
 
   // Kernel-dispatch ablation: the same smart sort with each supported
-  // kernel variant forced, compute-phase time per key.  The network
-  // strategy is the most kernel-bound, so it shows the SIMD dispatch win
-  // most clearly.
-  std::cout << "\n=== kernel dispatch ablation: smart sort, network "
-               "strategy (compute us/key) ===\n\n";
+  // kernel variant forced, compute-phase time per key.
+  std::cout << "=== kernel dispatch ablation: smart sort, " << P
+            << " processors (compute us/key) ===\n\n";
   std::vector<std::string> headers = {"Keys/proc"};
   for (const kernel::Kernels* k : kernel::variants()) {
     if (kernel::supported(*k)) headers.push_back(k->name);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "bitonic/sorts.hpp"
 #include "fault/error.hpp"
 #include "fault/plan.hpp"
 #include "localsort/radix_sort.hpp"
@@ -326,7 +327,7 @@ BatchOutcome run_batch_on(simd::Machine& machine,
           keys.data() + static_cast<std::size_t>(p.rank()) * n, n);
       switch (config.algorithm) {
         case Algorithm::kSmartBitonic:
-          bitonic::smart_sort(p, slice, config.smart);
+          bitonic::smart_sort(p, slice);
           break;
         case Algorithm::kCyclicBlockedBitonic:
           bitonic::cyclic_blocked_sort(p, slice);

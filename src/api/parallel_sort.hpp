@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "backend/backend.hpp"
-#include "bitonic/sorts.hpp"
 #include "loggp/params.hpp"
 #include "simd/machine.hpp"
 
@@ -40,7 +39,6 @@ struct Config {
   loggp::Params params = loggp::meiko_cs2();
   double cpu_scale = 1.0;
   Algorithm algorithm = Algorithm::kSmartBitonic;
-  bitonic::SmartOptions smart;  ///< used by kSmartBitonic only
 
   /// Execution backend for the machine parallel_sort constructs:
   /// kSimulated charges analytic LogP/LogGP time (the historical

@@ -17,10 +17,20 @@ namespace {
 /// the dispatched gather kernel it replaces.
 constexpr std::size_t kMemcpyRunMin = 16;
 
-}  // namespace
+/// Coarse classification of a layout for trace records.
+trace::LayoutTag classify_layout(const layout::BitLayout& lay) {
+  const int log_n = lay.log_local();
+  const int log_p = lay.log_procs();
+  if (lay == layout::BitLayout::blocked(log_n, log_p)) return trace::LayoutTag::kBlocked;
+  if (lay == layout::BitLayout::cyclic(log_n, log_p)) return trace::LayoutTag::kCyclic;
+  return trace::LayoutTag::kSmart;
+}
 
+/// Point `ws` at the (from, to) plan and derive this rank's peers, unless
+/// it already holds that pair.  The self slot is empty: the kept portion
+/// is moved during unpack.
 void prepare_workspace(RemapWorkspace& ws, const layout::BitLayout& from,
-                       const layout::BitLayout& to, std::uint64_t rank, bool stage_self) {
+                       const layout::BitLayout& to, std::uint64_t rank) {
   if (ws.from && *ws.from == from && *ws.to == to) return;
   ws.plan = layout::mask_plan(from, to);
   const std::size_t G = ws.plan->group_size();
@@ -32,11 +42,10 @@ void prepare_workspace(RemapWorkspace& ws, const layout::BitLayout& from,
   for (std::size_t o = 0; o < G; ++o) {
     ws.send_peers[o] = layout::mask_plan_dest(from, to, *ws.plan, rank, o);
     ws.recv_peers[o] = layout::mask_plan_src(from, to, *ws.plan, rank, o);
-    ws.sizes[o] = M;
+    ws.sizes[o] = ws.send_peers[o] == rank ? 0 : M;
     if (ws.send_peers[o] == rank) {
       ws.has_self = true;
       ws.self_send = o;
-      if (!stage_self) ws.sizes[o] = 0;
     }
   }
   ws.group_log2 = ws.plan->bits_changed;
@@ -46,14 +55,10 @@ void prepare_workspace(RemapWorkspace& ws, const layout::BitLayout& from,
   ws.to = to;
 }
 
-trace::LayoutTag classify_layout(const layout::BitLayout& lay) {
-  const int log_n = lay.log_local();
-  const int log_p = lay.log_procs();
-  if (lay == layout::BitLayout::blocked(log_n, log_p)) return trace::LayoutTag::kBlocked;
-  if (lay == layout::BitLayout::cyclic(log_n, log_p)) return trace::LayoutTag::kCyclic;
-  return trace::LayoutTag::kSmart;
-}
-
+/// Pack one message: msg[j] = in[order[j] | pat] for j in [0, msg.size()).
+/// `run_log2` is the plan's contiguity guarantee for this order table
+/// (MaskPlan::pack_run_log2): long runs are moved with memcpy, short
+/// ones through the dispatched gather kernel.
 void pack_message(std::span<std::uint32_t> msg, std::span<const std::uint32_t> in,
                   const std::uint32_t* order, std::uint32_t pat, int run_log2) {
   const std::size_t M = msg.size();
@@ -68,6 +73,8 @@ void pack_message(std::span<std::uint32_t> msg, std::span<const std::uint32_t> i
   }
 }
 
+/// Unpack one message: out[order[j] | pat] = msg[j], with the same run
+/// coalescing on the destination side.
 void unpack_message(std::span<std::uint32_t> out, std::span<const std::uint32_t> msg,
                     const std::uint32_t* order, std::uint32_t pat, int run_log2) {
   const std::size_t M = msg.size();
@@ -81,6 +88,8 @@ void unpack_message(std::span<std::uint32_t> out, std::span<const std::uint32_t>
     kernel::active().scatter_idx(out.data(), order, pat, msg.data(), M);
   }
 }
+
+}  // namespace
 
 void remap_data_into(simd::Proc& p, const layout::BitLayout& from,
                      const layout::BitLayout& to, std::span<const std::uint32_t> in,
@@ -101,7 +110,7 @@ void remap_data_into(simd::Proc& p, const layout::BitLayout& from,
                              static_cast<std::int32_t>(p.comm().exchanges));
 
   // Plan lookup (cached across repeats of the same layout pair).
-  p.timed(simd::Phase::kPack, [&] { prepare_workspace(ws, from, to, rank, false); });
+  p.timed(simd::Phase::kPack, [&] { prepare_workspace(ws, from, to, rank); });
 
   p.trace_remap(ws.group_log2, ws.from_tag, ws.to_tag);
   p.open_exchange(ws.send_peers, ws.sizes, ws.recv_peers);
@@ -160,29 +169,6 @@ void remap_data_into(simd::Proc& p, const layout::BitLayout& from,
       }
     }
   });
-}
-
-void remap_data_into(simd::Proc& p, const layout::BitLayout& from,
-                     const layout::BitLayout& to, std::span<const std::uint32_t> in,
-                     std::span<std::uint32_t> out) {
-  RemapWorkspace ws;
-  remap_data_into(p, from, to, in, out, ws);
-}
-
-void remap_data(simd::Proc& p, const layout::BitLayout& from, const layout::BitLayout& to,
-                std::span<std::uint32_t> keys, std::vector<std::uint32_t>& scratch,
-                RemapWorkspace& ws) {
-  scratch.resize(keys.size());
-  remap_data_into(p, from, to, keys, std::span<std::uint32_t>(scratch.data(), scratch.size()),
-                  ws);
-  p.timed(simd::Phase::kUnpack,
-          [&] { std::copy(scratch.begin(), scratch.end(), keys.begin()); });
-}
-
-void remap_data(simd::Proc& p, const layout::BitLayout& from, const layout::BitLayout& to,
-                std::span<std::uint32_t> keys, std::vector<std::uint32_t>& scratch) {
-  RemapWorkspace ws;
-  remap_data(p, from, to, keys, scratch, ws);
 }
 
 }  // namespace bsort::bitonic

@@ -46,29 +46,6 @@ struct RemapWorkspace {
   trace::LayoutTag to_tag = trace::LayoutTag::kUnknown;
 };
 
-/// Point `ws` at the (from, to) plan and derive this rank's peers, unless
-/// it already holds that pair.  With `stage_self` the self slot is sized
-/// like every other message (the fused merge reads it back as a run);
-/// otherwise it is empty and the kept portion is moved during unpack.  A
-/// workspace is used with one `stage_self` value throughout.
-void prepare_workspace(RemapWorkspace& ws, const layout::BitLayout& from,
-                       const layout::BitLayout& to, std::uint64_t rank, bool stage_self);
-
-/// Coarse classification of a layout for trace records.
-trace::LayoutTag classify_layout(const layout::BitLayout& lay);
-
-/// Pack one message: msg[j] = in[order[j] | pat] for j in [0, msg.size()).
-/// `run_log2` is the plan's contiguity guarantee for this order table
-/// (MaskPlan::pack_run_log2 / pack_run_source_log2): long runs are moved
-/// with memcpy, short ones through the dispatched gather kernel.
-void pack_message(std::span<std::uint32_t> msg, std::span<const std::uint32_t> in,
-                  const std::uint32_t* order, std::uint32_t pat, int run_log2);
-
-/// Unpack one message: out[order[j] | pat] = msg[j], with the same run
-/// coalescing on the destination side.
-void unpack_message(std::span<std::uint32_t> out, std::span<const std::uint32_t> msg,
-                    const std::uint32_t* order, std::uint32_t pat, int run_log2);
-
 /// Remap this rank's local portion from layout `from` (read from `in`)
 /// to layout `to` (scattered into `out`).  `in` and `out` must not alias:
 /// the double-buffered form avoids the copy-back a strictly in-place
@@ -76,17 +53,5 @@ void unpack_message(std::span<std::uint32_t> out, std::span<const std::uint32_t>
 void remap_data_into(simd::Proc& p, const layout::BitLayout& from,
                      const layout::BitLayout& to, std::span<const std::uint32_t> in,
                      std::span<std::uint32_t> out, RemapWorkspace& ws);
-
-/// Convenience overload with a throwaway workspace.
-void remap_data_into(simd::Proc& p, const layout::BitLayout& from,
-                     const layout::BitLayout& to, std::span<const std::uint32_t> in,
-                     std::span<std::uint32_t> out);
-
-/// In-place convenience wrapper: remap `keys` via `scratch`.
-void remap_data(simd::Proc& p, const layout::BitLayout& from, const layout::BitLayout& to,
-                std::span<std::uint32_t> keys, std::vector<std::uint32_t>& scratch,
-                RemapWorkspace& ws);
-void remap_data(simd::Proc& p, const layout::BitLayout& from, const layout::BitLayout& to,
-                std::span<std::uint32_t> keys, std::vector<std::uint32_t>& scratch);
 
 }  // namespace bsort::bitonic

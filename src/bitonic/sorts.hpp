@@ -21,14 +21,12 @@
 // localsort::local_network_steps, whose fused multi-step kernel keeps
 // runs of low-stride columns in registers/L1.  On current hosts that
 // beats the paper's Chapter 4 replacement of the network by bitonic
-// merges (Theorems 2/3), which smart keeps only as a measured ablation
-// (SmartCompute).
+// merges (Theorems 2/3), measured 2.0-4.3x slower (EXPERIMENTS.md).
 #pragma once
 
 #include <cstdint>
 #include <span>
 
-#include "schedule/smart_schedule.hpp"
 #include "simd/machine.hpp"
 
 namespace bsort::bitonic {
@@ -44,22 +42,9 @@ void blocked_merge_sort(simd::Proc& p, std::span<std::uint32_t> keys);
 
 void cyclic_blocked_sort(simd::Proc& p, std::span<std::uint32_t> keys);
 
-/// Local-computation flavor for smart_sort.  kNetwork is the measured
-/// winner (EXPERIMENTS.md, Chapter 4 ablation); the two paper variants
-/// stay selectable so bench_local_compute can reproduce that ablation.
-enum class SmartCompute {
-  kNetwork,   ///< every window's steps on the fused network kernel
-  kTwoPhase,  ///< Theorems 2/3: bitonic merge sorts per window
-  kFused      ///< Section 4.3: merge fused with unpacking
-};
-
-struct SmartOptions {
-  schedule::ShiftStrategy strategy = schedule::ShiftStrategy::kHead;
-  SmartCompute compute = SmartCompute::kNetwork;
-  int first_chunk = 0;  ///< 0 = derive from strategy (see make_smart_schedule)
-};
-
-void smart_sort(simd::Proc& p, std::span<std::uint32_t> keys,
-                const SmartOptions& options = {});
+/// `first_chunk` is the Lemma 5 shift: the number of network steps after
+/// the first remap (see schedule::make_smart_schedule; 0 = HeadRemap).
+/// Throws ConfigError outside [0, lg n].
+void smart_sort(simd::Proc& p, std::span<std::uint32_t> keys, int first_chunk = 0);
 
 }  // namespace bsort::bitonic

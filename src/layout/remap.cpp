@@ -164,14 +164,6 @@ MaskPlan build_mask_plan(const BitLayout& from, const BitLayout& to) {
       kept.emplace_back(to.local_pos_of(abs_bit), p);
     }
   }
-  {
-    // Source-order variant first (kept is currently ascending by p).
-    std::vector<int> src_positions;
-    src_positions.reserve(kept.size());
-    for (const auto& [q, p] : kept) src_positions.push_back(p);
-    plan.kept_order_source = scatter_table(src_positions);
-    plan.pack_run_source_log2 = identity_prefix(src_positions);
-  }
   std::sort(kept.begin(), kept.end());
   std::vector<int> kept_from_positions;
   kept_from_positions.reserve(kept.size());
@@ -201,7 +193,7 @@ MaskPlan build_mask_plan(const BitLayout& from, const BitLayout& to) {
 std::size_t MaskPlan::table_bytes() const {
   return sizeof(std::uint32_t) *
          (kept_order.capacity() + dest_pattern.capacity() + recv_order.capacity() +
-          src_pattern.capacity() + kept_order_source.capacity());
+          src_pattern.capacity());
 }
 
 namespace {

@@ -88,10 +88,6 @@ struct MaskPlan {
   std::vector<std::uint32_t> dest_pattern;  ///< 2^r entries (from-local bits)
   std::vector<std::uint32_t> recv_order;    ///< n / 2^r entries
   std::vector<std::uint32_t> src_pattern;   ///< 2^r entries (to-local bits)
-  /// Like kept_order but in ascending SOURCE local order (for fused
-  /// packing, Section 4.3, where each message must be a monotonic run of
-  /// the sender's value-sorted array).
-  std::vector<std::uint32_t> kept_order_source;
 
   /// Run coalescing: when the lowest c kept bits of the relevant local
   /// address are the identity mapping (bit i of the message offset lands
@@ -101,9 +97,8 @@ struct MaskPlan {
   /// runs with memcpy instead of per-key gathers.  A remap between
   /// cyclic and blocked layouts coalesces to run length == message size
   /// on one of its two sides (single memcpy per message).
-  int pack_run_log2 = 0;         ///< lg run length of kept_order | dest_pattern
-  int unpack_run_log2 = 0;       ///< lg run length of recv_order | src_pattern
-  int pack_run_source_log2 = 0;  ///< lg run length of kept_order_source | dest_pattern
+  int pack_run_log2 = 0;    ///< lg run length of kept_order | dest_pattern
+  int unpack_run_log2 = 0;  ///< lg run length of recv_order | src_pattern
 
   [[nodiscard]] std::uint64_t group_size() const { return dest_pattern.size(); }
   [[nodiscard]] std::uint64_t message_size() const { return kept_order.size(); }
@@ -111,10 +106,7 @@ struct MaskPlan {
   [[nodiscard]] std::uint64_t unpack_run() const {
     return std::uint64_t{1} << unpack_run_log2;
   }
-  [[nodiscard]] std::uint64_t pack_run_source() const {
-    return std::uint64_t{1} << pack_run_source_log2;
-  }
-  /// Heap bytes held by the five index tables.
+  /// Heap bytes held by the four index tables.
   [[nodiscard]] std::size_t table_bytes() const;
 };
 
@@ -123,8 +115,8 @@ MaskPlan build_mask_plan(const BitLayout& from, const BitLayout& to);
 /// Byte budget of the mask_plan memo: tables plus per-entry bookkeeping
 /// (layouts, list node).  The 20 layout pairs the end-to-end benchmark
 /// touches (P=4 bulk sorts of 2^19 and 2^15 keys, P=2 service shapes of
-/// 2^14..2^18 keys) retain 5.6 MB; the budget keeps all of them with
-/// room for a few more shapes.
+/// 2^14..2^18 keys) retain 3.7 MB (3,726,032 bytes); the budget keeps
+/// all of them with room for a few more shapes.
 inline constexpr std::size_t kMaskPlanMemoBudget = std::size_t{8} << 20;
 
 /// The plan of build_mask_plan(from, to), shared by every caller: a

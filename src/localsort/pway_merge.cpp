@@ -63,10 +63,4 @@ void pway_merge(std::span<const Run> runs, std::span<std::uint32_t> out) {
   }
 }
 
-void two_way_merge(std::span<const std::uint32_t> a, std::span<const std::uint32_t> b,
-                   std::span<std::uint32_t> out) {
-  assert(a.size() + b.size() == out.size());
-  std::merge(a.begin(), a.end(), b.begin(), b.end(), out.begin());
-}
-
 }  // namespace bsort::localsort

@@ -1,8 +1,6 @@
-// p-way merge of sorted runs (Section 4.3): after a smart remap the data
-// on each processor arrives as one sorted run per peer (ascending from
-// the first half of the group, descending from the second half); merging
-// them directly replaces the generic unpack + sort, eliminating the
-// unpack overhead.
+// p-way merge of sorted runs (Section 4.3, where it merges the one sorted
+// run per peer that arrives after a smart remap).  Sample sort merges its
+// received buckets with it.
 #pragma once
 
 #include <cstdint>
@@ -20,9 +18,5 @@ struct Run {
 /// Merge `runs` into `out` in ascending order.  out.size() must equal the
 /// total input size.  Uses a simple binary-heap tournament; O(N log p).
 void pway_merge(std::span<const Run> runs, std::span<std::uint32_t> out);
-
-/// Merge two ascending runs (fast path used by TwoPhase computation).
-void two_way_merge(std::span<const std::uint32_t> a, std::span<const std::uint32_t> b,
-                   std::span<std::uint32_t> out);
 
 }  // namespace bsort::localsort

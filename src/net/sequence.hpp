@@ -34,9 +34,7 @@ struct MinSearchResult {
 MinSearchResult bitonic_min_index_log(std::span<const std::uint32_t> seq);
 
 /// Generic form of Algorithm 2 over an arbitrary accessor `at(i)` for a
-/// circular bitonic sequence of length n — used for strided views (the
-/// phase-2 chunks of a crossing window live at stride 2^a in the phase-1
-/// array).
+/// circular bitonic sequence of length n (a contiguous or strided view).
 template <class At>
 MinSearchResult bitonic_min_index_log_generic(std::size_t n, At&& at) {
   MinSearchResult res{0, 0, false};

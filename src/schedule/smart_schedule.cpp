@@ -1,8 +1,9 @@
 #include "schedule/smart_schedule.hpp"
 
 #include <cassert>
+#include <string>
 
-#include "schedule/formulas.hpp"
+#include "fault/error.hpp"
 
 namespace bsort::schedule {
 
@@ -12,25 +13,15 @@ std::uint64_t SmartSchedule::total_steps() const {
   return t;
 }
 
-SmartSchedule make_smart_schedule(int log_n, int log_p, ShiftStrategy strategy,
-                                  int first_chunk) {
+SmartSchedule make_smart_schedule(int log_n, int log_p, int first_chunk) {
   assert(log_n >= 1 && "smart sort needs at least 2 keys per processor");
   assert(log_p >= 1);
-  SmartSchedule sched{log_n, log_p, {}};
-
-  if (first_chunk == 0) {
-    switch (strategy) {
-      case ShiftStrategy::kHead:
-        first_chunk = log_n;
-        break;
-      case ShiftStrategy::kTail: {
-        const int rem = remaining_steps(log_n, log_p);
-        first_chunk = rem == 0 ? log_n : rem;
-        break;
-      }
-    }
+  if (first_chunk < 0 || first_chunk > log_n) {
+    throw ConfigError("make_smart_schedule: first_chunk " + std::to_string(first_chunk) +
+                      " is outside [0, lg n = " + std::to_string(log_n) + "]");
   }
-  assert(first_chunk >= 1 && first_chunk <= log_n);
+  if (first_chunk == 0) first_chunk = log_n;
+  SmartSchedule sched{log_n, log_p, {}};
 
   // Walk the last lg P stages.  State: the next step to execute is step s
   // of stage lg n + k.

@@ -33,20 +33,16 @@ struct SmartSchedule {
   [[nodiscard]] std::uint64_t total_steps() const;
 };
 
-/// Strategies of Lemma 5, expressed by the number of steps executed after
-/// the FIRST remap (all later remaps execute lg n steps, except the last
-/// which takes what remains):
-///   HeadRemap:    first chunk = lg n       (remainder lands at the end)
-///   TailRemap:    first chunk = N_rem      (remainder at the front)
-///   MiddleRemap:  any value in between / below
-enum class ShiftStrategy { kHead, kTail };
-
-/// Build a schedule.  `first_chunk` overrides the number of steps after
-/// the first remap (1..lg n); pass 0 to derive it from `strategy`.
-/// Requires lg n >= 1 (at least two keys per processor) and lg P >= 1.
-SmartSchedule make_smart_schedule(int log_n, int log_p,
-                                  ShiftStrategy strategy = ShiftStrategy::kHead,
-                                  int first_chunk = 0);
+/// Build a schedule.  `first_chunk` is the number of steps executed after
+/// the FIRST remap; every later remap executes lg n steps, except the
+/// last, which takes what remains.  The strategies of Lemma 5:
+///   HeadRemap:    first_chunk = 0 or lg n  (remainder lands at the end)
+///   TailRemap:    first_chunk = N_rem      (remainder at the front;
+///                 N_rem = 0 is HeadRemap, which equals TailRemap there)
+///   MiddleRemap:  any other value in [1, lg n)
+/// Requires lg n >= 1 (at least two keys per processor) and lg P >= 1;
+/// throws ConfigError when first_chunk is outside [0, lg n].
+SmartSchedule make_smart_schedule(int log_n, int log_p, int first_chunk = 0);
 
 /// Measured total volume per processor of a schedule: sum over remaps of
 /// n * (1 - 2^-r) where r is bits_changed into each remap's layout,

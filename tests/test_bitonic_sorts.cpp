@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
-#include "schedule/formulas.hpp"
-
 #include <algorithm>
-#include <tuple>
+#include <string>
 
+#include "fault/error.hpp"
+#include "schedule/formulas.hpp"
+#include "schedule/smart_schedule.hpp"
 #include "test_helpers.hpp"
+#include "util/bits.hpp"
 #include "util/random.hpp"
 
 namespace bsort::bitonic {
@@ -83,52 +85,25 @@ TEST_P(BitonicSortTest, CyclicBlocked) {
   EXPECT_EQ(keys, want);
 }
 
-TEST_P(BitonicSortTest, SmartTwoPhase) {
-  auto keys = make_input();
-  const auto want = expected(keys);
-  SmartOptions opt;
-  opt.compute = SmartCompute::kTwoPhase;
-  run_blocked_spmd(keys, GetParam().nprocs, simd::MessageMode::kLong,
-                   [&](simd::Proc& p, std::span<std::uint32_t> s) {
-                     smart_sort(p, s, opt);
-                   });
-  EXPECT_EQ(keys, want);
-}
-
 TEST_P(BitonicSortTest, SmartCompareExchange) {
-  // The compare-exchange network path, smart's default: every window on
-  // the network kernel.  Pinned so a later default flip keeps it covered.
+  // Smart's one local computation: every post-remap window runs its
+  // compare-exchange steps on the fused network kernel.
   auto keys = make_input();
   const auto want = expected(keys);
-  SmartOptions opt;
-  opt.compute = SmartCompute::kNetwork;
   run_blocked_spmd(keys, GetParam().nprocs, simd::MessageMode::kLong,
-                   [&](simd::Proc& p, std::span<std::uint32_t> s) {
-                     smart_sort(p, s, opt);
-                   });
-  EXPECT_EQ(keys, want);
-}
-
-TEST_P(BitonicSortTest, SmartFused) {
-  auto keys = make_input();
-  const auto want = expected(keys);
-  SmartOptions opt;
-  opt.compute = SmartCompute::kFused;
-  run_blocked_spmd(keys, GetParam().nprocs, simd::MessageMode::kLong,
-                   [&](simd::Proc& p, std::span<std::uint32_t> s) {
-                     smart_sort(p, s, opt);
-                   });
+                   [](simd::Proc& p, std::span<std::uint32_t> s) { smart_sort(p, s); });
   EXPECT_EQ(keys, want);
 }
 
 TEST_P(BitonicSortTest, SmartTailStrategy) {
+  // TailRemap (Lemma 5): the short chunk of rem steps comes first.
   auto keys = make_input();
   const auto want = expected(keys);
-  SmartOptions opt;
-  opt.strategy = schedule::ShiftStrategy::kTail;
   run_blocked_spmd(keys, GetParam().nprocs, simd::MessageMode::kLong,
-                   [&](simd::Proc& p, std::span<std::uint32_t> s) {
-                     smart_sort(p, s, opt);
+                   [](simd::Proc& p, std::span<std::uint32_t> s) {
+                     const int log_n = util::ilog2(s.size());
+                     const int log_p = util::ilog2(static_cast<std::uint64_t>(p.nprocs()));
+                     smart_sort(p, s, schedule::remaining_steps(log_n, log_p));
                    });
   EXPECT_EQ(keys, want);
 }
@@ -172,11 +147,9 @@ TEST(SmartSort, MiddleRemapChunksSort) {
     auto keys = util::generate_keys(1u << 10, KeyDistribution::kUniform31, 99);
     auto want = keys;
     std::sort(want.begin(), want.end());
-    SmartOptions opt;
-    opt.first_chunk = first_chunk;
     run_blocked_spmd(keys, 8, simd::MessageMode::kLong,
                      [&](simd::Proc& p, std::span<std::uint32_t> s) {
-                       smart_sort(p, s, opt);
+                       smart_sort(p, s, first_chunk);
                      });
     EXPECT_EQ(keys, want) << "first_chunk=" << first_chunk;
   }
@@ -230,65 +203,57 @@ TEST(BlockedMerge, CommunicationVolumeMatchesClosedForm) {
   }
 }
 
-TEST(SmartSort, FusedAndTwoPhaseAgree) {
-  auto keys1 = util::generate_keys(1u << 12, KeyDistribution::kUniform31, 123);
-  auto keys2 = keys1;
-  SmartOptions two_phase;
-  two_phase.compute = SmartCompute::kTwoPhase;
-  SmartOptions fused;
-  fused.compute = SmartCompute::kFused;
-  run_blocked_spmd(keys1, 8, simd::MessageMode::kLong,
-                   [&](simd::Proc& p, std::span<std::uint32_t> s) {
-                     smart_sort(p, s, two_phase);
-                   });
-  run_blocked_spmd(keys2, 8, simd::MessageMode::kLong,
-                   [&](simd::Proc& p, std::span<std::uint32_t> s) {
-                     smart_sort(p, s, fused);
-                   });
-  EXPECT_EQ(keys1, keys2);
-}
-
-TEST(SmartSort, NetworkTwoPhaseFusedBitIdentical) {
-  // The three local computations differ only after each remap, so every
-  // shape must give the same output AND the same per-VP exchange and
-  // volume counts (the remap schedule is shared).
-  for (const auto strategy : {schedule::ShiftStrategy::kHead, schedule::ShiftStrategy::kTail}) {
-    for (int log_n = 1; log_n <= 8; ++log_n) {
-      for (int log_p = 1; log_p <= 5; ++log_p) {
+TEST(SmartSort, HeadAndTailAllShapes) {
+  // Every shape under HeadRemap (first_chunk 0) and TailRemap (first_chunk
+  // rem) sorts, and each VP makes exactly the schedule's remaps and moves
+  // exactly its modelled volume.  Below n = P some remaps have ranks that
+  // keep none of their keys (asymmetric groups), so there the model is a
+  // lower bound.
+  for (int log_n = 1; log_n <= 8; ++log_n) {
+    for (int log_p = 1; log_p <= 5; ++log_p) {
+      for (const int first_chunk : {0, schedule::remaining_steps(log_n, log_p)}) {
         const std::size_t total = std::size_t{1} << (log_n + log_p);
-        const auto input = util::generate_keys(total, KeyDistribution::kLowEntropy,
-                                               total + static_cast<std::size_t>(log_n));
-        auto want = input;
+        auto keys = util::generate_keys(total, KeyDistribution::kLowEntropy,
+                                        total + static_cast<std::size_t>(log_n));
+        auto want = keys;
         std::sort(want.begin(), want.end());
-        std::vector<std::uint32_t> outs[3];
-        simd::RunReport reps[3];
-        const SmartCompute computes[3] = {SmartCompute::kNetwork, SmartCompute::kTwoPhase,
-                                          SmartCompute::kFused};
-        for (int c = 0; c < 3; ++c) {
-          SmartOptions opt;
-          opt.strategy = strategy;
-          opt.compute = computes[c];
-          outs[c] = input;
-          reps[c] = run_blocked_spmd(outs[c], 1 << log_p, simd::MessageMode::kLong,
-                                     [&](simd::Proc& p, std::span<std::uint32_t> s) {
-                                       smart_sort(p, s, opt);
-                                     });
-        }
-        const std::string where =
-            "log_n=" + std::to_string(log_n) + " log_p=" + std::to_string(log_p) +
-            (strategy == schedule::ShiftStrategy::kTail ? " tail" : " head");
-        ASSERT_EQ(outs[0], want) << where;
-        for (int c = 1; c < 3; ++c) {
-          ASSERT_EQ(outs[c], outs[0]) << where << " compute=" << c;
-          for (std::size_t r = 0; r < reps[0].proc_comm.size(); ++r) {
-            EXPECT_EQ(reps[c].proc_comm[r].exchanges, reps[0].proc_comm[r].exchanges)
-                << where << " compute=" << c << " rank=" << r;
-            EXPECT_EQ(reps[c].proc_comm[r].elements_sent, reps[0].proc_comm[r].elements_sent)
-                << where << " compute=" << c << " rank=" << r;
+        const auto rep = run_blocked_spmd(keys, 1 << log_p, simd::MessageMode::kLong,
+                                          [&](simd::Proc& p, std::span<std::uint32_t> s) {
+                                            smart_sort(p, s, first_chunk);
+                                          });
+        const auto sched = schedule::make_smart_schedule(log_n, log_p, first_chunk);
+        const std::string where = "log_n=" + std::to_string(log_n) + " log_p=" +
+                                  std::to_string(log_p) +
+                                  " first_chunk=" + std::to_string(first_chunk);
+        ASSERT_EQ(keys, want) << where;
+        const auto volume = schedule::schedule_volume_per_proc(sched);
+        for (std::size_t r = 0; r < rep.proc_comm.size(); ++r) {
+          EXPECT_EQ(rep.proc_comm[r].exchanges, schedule::schedule_remaps(sched))
+              << where << " rank=" << r;
+          if (log_n >= log_p) {
+            EXPECT_EQ(rep.proc_comm[r].elements_sent, volume) << where << " rank=" << r;
+          } else {
+            EXPECT_GE(rep.proc_comm[r].elements_sent, volume) << where << " rank=" << r;
           }
         }
       }
     }
+  }
+}
+
+TEST(SmartSort, RejectsOutOfRangeFirstChunk) {
+  // P = 4, 16 keys per VP (lg n = 4): first_chunk must lie in [0, 4].
+  const int log_n = 4;
+  for (const int first_chunk : {-1, log_n + 1}) {
+    auto keys = util::generate_keys(64, KeyDistribution::kUniform31, 3);
+    EXPECT_THROW(run_blocked_spmd(keys, 4, simd::MessageMode::kLong,
+                                  [&](simd::Proc& p, std::span<std::uint32_t> s) {
+                                    smart_sort(p, s, first_chunk);
+                                  }),
+                 ConfigError)
+        << "first_chunk=" << first_chunk;
+    EXPECT_THROW(schedule::make_smart_schedule(log_n, 2, first_chunk), ConfigError)
+        << "first_chunk=" << first_chunk;
   }
 }
 

@@ -25,6 +25,7 @@
 
 #include "api/parallel_sort.hpp"
 #include "backend/backend.hpp"
+#include "bitonic/sorts.hpp"
 #include "fault/error.hpp"
 #include "fault/plan.hpp"
 #include "loggp/choose.hpp"

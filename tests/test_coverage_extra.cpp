@@ -73,19 +73,6 @@ TEST(PhaseBreakdown, TotalsSumComponents) {
   EXPECT_DOUBLE_EQ(ph.unpack(), 4.0);
 }
 
-TEST(ApiSmartOptions, PropagateThroughFacade) {
-  api::Config cfg;
-  cfg.nprocs = 8;
-  cfg.smart.strategy = schedule::ShiftStrategy::kTail;
-  cfg.smart.compute = bitonic::SmartCompute::kFused;
-  auto keys = util::generate_keys(1u << 12, util::KeyDistribution::kUniform31, 5);
-  auto want = keys;
-  std::sort(want.begin(), want.end());
-  const auto outcome = api::parallel_sort(keys, cfg);
-  EXPECT_TRUE(outcome.sorted);
-  EXPECT_EQ(keys, want);
-}
-
 TEST(ApiReport, CommCountsMatchAcrossModes) {
   // Short and long mode move identical element volumes.
   const auto input = util::generate_keys(1u << 12, util::KeyDistribution::kUniform31, 6);

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "api/parallel_sort.hpp"
+#include "bitonic/sorts.hpp"
 #include "fault/error.hpp"
 #include "fault/plan.hpp"
 #include "fault/retry.hpp"

@@ -91,20 +91,19 @@ TEST(Formulas, Lemma5ShiftInequalities) {
   for (int log_p = 2; log_p <= 5; ++log_p) {
     for (int log_n = 2 * log_p; log_n <= 2 * log_p + 6; ++log_n) {
       const auto v_head = schedule_volume_per_proc(make_smart_schedule(log_n, log_p));
-      const auto v_tail = schedule_volume_per_proc(
-          make_smart_schedule(log_n, log_p, ShiftStrategy::kTail));
-      EXPECT_LE(v_tail, v_head) << "log_n=" << log_n << " log_p=" << log_p;
       const int rem = remaining_steps(log_n, log_p);
+      const auto v_tail = schedule_volume_per_proc(make_smart_schedule(log_n, log_p, rem));
+      EXPECT_LE(v_tail, v_head) << "log_n=" << log_n << " log_p=" << log_p;
       if (rem > 1) {
         // MiddleRemap1: split the remainder across first and last chunks.
         const auto v_m1 = schedule_volume_per_proc(
-            make_smart_schedule(log_n, log_p, ShiftStrategy::kHead, rem / 2));
+            make_smart_schedule(log_n, log_p, rem / 2));
         EXPECT_GT(v_m1, v_head) << "log_n=" << log_n << " log_p=" << log_p;
       }
       if (rem > 0 && rem < log_n - 1) {
         // MiddleRemap2: first chunk between rem and lg n.
         const auto v_m2 = schedule_volume_per_proc(
-            make_smart_schedule(log_n, log_p, ShiftStrategy::kHead, rem + 1));
+            make_smart_schedule(log_n, log_p, rem + 1));
         EXPECT_GE(v_m2, v_tail) << "log_n=" << log_n << " log_p=" << log_p;
       }
       if (log_p * (log_p + 1) / 2 <= log_n) {

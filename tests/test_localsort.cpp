@@ -65,9 +65,6 @@ TEST_P(BitonicMergeSortTest, SortsEveryRotation) {
     for (std::size_t i = 0; i < n; ++i) v[i] = base[(i + rot) % n];
     bitonic_merge_sort(v, out);
     EXPECT_EQ(out, expected) << "rot=" << rot;
-    bitonic_merge_sort_descending(v, out);
-    std::vector<std::uint32_t> expected_desc(expected.rbegin(), expected.rend());
-    EXPECT_EQ(out, expected_desc) << "rot=" << rot;
   }
 }
 
@@ -99,35 +96,6 @@ TEST(BitonicMergeSort, OutputsOfReferenceStagesAreSortable) {
       EXPECT_TRUE(std::is_sorted(out.begin(), out.end()));
     }
     net::reference_stage(std::span<std::uint32_t>(data.data(), N), stage);
-  }
-}
-
-TEST(BitonicMergeSort, StridedViewMatchesContiguous) {
-  // Interleave 4 bitonic sequences at stride 4 and sort each strided view;
-  // must equal sorting the gathered copies.
-  const std::size_t count = 64;
-  const std::size_t stride = 4;
-  std::vector<std::uint32_t> interleaved(count * stride);
-  std::vector<std::vector<std::uint32_t>> gathered(stride);
-  util::SplitMix64 rng(17);
-  for (std::size_t c = 0; c < stride; ++c) {
-    // rise-fall with random peak
-    std::vector<std::uint32_t> v(count);
-    const std::size_t peak = rng.next() % count;
-    std::uint32_t val = static_cast<std::uint32_t>(rng.next() % 100);
-    for (std::size_t i = 0; i <= peak; ++i) v[i] = val += 1 + rng.next() % 3;
-    for (std::size_t i = peak + 1; i < count; ++i) v[i] = val -= 1 + rng.next() % 2;
-    for (std::size_t i = 0; i < count; ++i) interleaved[i * stride + c] = v[i];
-    gathered[c] = v;
-  }
-  for (std::size_t c = 0; c < stride; ++c) {
-    std::vector<std::uint32_t> out(count), expect(count);
-    bitonic_merge_sort_strided(interleaved.data(), c, stride, count, out.data(), true);
-    bitonic_merge_sort(gathered[c], expect);
-    EXPECT_EQ(out, expect) << "column " << c;
-    bitonic_merge_sort_strided(interleaved.data(), c, stride, count, out.data(), false);
-    bitonic_merge_sort_descending(gathered[c], expect);
-    EXPECT_EQ(out, expect) << "column " << c << " desc";
   }
 }
 
@@ -176,14 +144,6 @@ TEST(PwayMerge, ManyRunsRandom) {
   for (const auto& d : data) all.insert(all.end(), d.begin(), d.end());
   std::sort(all.begin(), all.end());
   EXPECT_EQ(out, all);
-}
-
-TEST(TwoWayMerge, Basic) {
-  std::vector<std::uint32_t> a = {1, 3, 5};
-  std::vector<std::uint32_t> b = {2, 4, 6};
-  std::vector<std::uint32_t> out(6);
-  two_way_merge(a, b, out);
-  EXPECT_TRUE(std::is_sorted(out.begin(), out.end()));
 }
 
 }  // namespace

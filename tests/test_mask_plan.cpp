@@ -125,14 +125,6 @@ TEST(MaskPlan, MessagesOrderedByDestinationLocal) {
   }
 }
 
-TEST(MaskPlan, SourceOrderTableIsAscending) {
-  const auto from = BitLayout::blocked(5, 2);
-  const auto to = BitLayout::smart(5, 2, smart_params(5, 2, 1, 6));
-  const auto plan = build_mask_plan(from, to);
-  EXPECT_TRUE(std::is_sorted(plan.kept_order_source.begin(),
-                             plan.kept_order_source.end()));
-}
-
 TEST(MaskPlan, SelfMessagePresenceIsSymmetric) {
   // A rank appears in its own send group iff it appears in its own
   // receive group (it keeps at least one element or none).
@@ -185,7 +177,6 @@ TEST(MaskPlan, RunCoalescingBlockedCyclic) {
   EXPECT_EQ(to_cyclic.unpack_run(), to_cyclic.message_size());
   const auto to_blocked = build_mask_plan(c, b);
   EXPECT_EQ(to_blocked.pack_run_log2, log_n - log_p);
-  EXPECT_EQ(to_blocked.pack_run_source_log2, log_n - log_p);
   EXPECT_EQ(to_blocked.unpack_run_log2, 0);
 }
 
@@ -198,7 +189,6 @@ TEST(MaskPlan, RunLengthsAreSoundAlongSchedules) {
     for (const auto& phase : sched.remaps) {
       const auto plan = build_mask_plan(prev, phase.layout);
       check_run(plan.kept_order, plan.dest_pattern, plan.pack_run_log2);
-      check_run(plan.kept_order_source, plan.dest_pattern, plan.pack_run_source_log2);
       check_run(plan.recv_order, plan.src_pattern, plan.unpack_run_log2);
       prev = phase.layout;
       if (phase.params.kind == SmartKind::kCrossing) {

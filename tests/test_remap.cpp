@@ -185,10 +185,8 @@ void expect_same_plan(const MaskPlan& got, const MaskPlan& want) {
   EXPECT_EQ(got.dest_pattern, want.dest_pattern);
   EXPECT_EQ(got.recv_order, want.recv_order);
   EXPECT_EQ(got.src_pattern, want.src_pattern);
-  EXPECT_EQ(got.kept_order_source, want.kept_order_source);
   EXPECT_EQ(got.pack_run_log2, want.pack_run_log2);
   EXPECT_EQ(got.unpack_run_log2, want.unpack_run_log2);
-  EXPECT_EQ(got.pack_run_source_log2, want.pack_run_source_log2);
 }
 
 TEST(Remap, MaskPlanCacheMatchesBuild) {
@@ -264,7 +262,6 @@ TEST(Remap, MaskPlanCacheConcurrentLookups) {
           const auto plan = mask_plan(pairs[i].first, pairs[i].second);
           const MaskPlan& w = want[i];
           if (plan->kept_order != w.kept_order || plan->recv_order != w.recv_order ||
-              plan->kept_order_source != w.kept_order_source ||
               plan->dest_pattern != w.dest_pattern || plan->src_pattern != w.src_pattern) {
             ++wrong[static_cast<std::size_t>(t)];
           }

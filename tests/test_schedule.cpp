@@ -26,7 +26,7 @@ TEST(SmartSchedule, CoversAllStepsHead) {
 TEST(SmartSchedule, CoversAllStepsTail) {
   for (int log_n = 1; log_n <= 12; ++log_n) {
     for (int log_p = 1; log_p <= 6; ++log_p) {
-      const auto sched = make_smart_schedule(log_n, log_p, ShiftStrategy::kTail);
+      const auto sched = make_smart_schedule(log_n, log_p, remaining_steps(log_n, log_p));
       EXPECT_EQ(sched.total_steps(), expected_total_steps(log_n, log_p))
           << "log_n=" << log_n << " log_p=" << log_p;
     }
@@ -78,7 +78,7 @@ TEST(SmartSchedule, HeadExecutesFullWindowsExceptLast) {
 }
 
 TEST(SmartSchedule, TailExecutesShortChunkFirst) {
-  const auto sched = make_smart_schedule(4, 4, ShiftStrategy::kTail);  // rem = 2
+  const auto sched = make_smart_schedule(4, 4, remaining_steps(4, 4));  // rem = 2
   EXPECT_EQ(sched.remaps.front().steps, 2);
   for (std::size_t i = 1; i < sched.remaps.size(); ++i) {
     EXPECT_EQ(sched.remaps[i].steps, 4);
@@ -117,8 +117,7 @@ TEST(SmartSchedule, MiddleRemapAddsOneRemap) {
   // MiddleRemap1 (first chunk shorter than the remainder) adds a remap.
   const int log_n = 6, log_p = 4;  // rem = 10 mod 6 = 4
   const auto head = make_smart_schedule(log_n, log_p);
-  const auto middle = make_smart_schedule(log_n, log_p, ShiftStrategy::kHead,
-                                          /*first_chunk=*/2);
+  const auto middle = make_smart_schedule(log_n, log_p, /*first_chunk=*/2);
   EXPECT_EQ(schedule_remaps(middle), schedule_remaps(head) + 1);
 }
 

@@ -42,7 +42,6 @@ simd::Machine sim_machine(int nprocs, loggp::Params params, simd::MessageMode mo
   return simd::Machine(nprocs, params, mode, 1.0, backend::make_simulated());
 }
 
-using bitonic::remap_data;
 using testing::run_blocked_spmd_on;
 
 trace::ExchangeEvent make_event(std::uint32_t seq, std::uint64_t elements) {
@@ -227,11 +226,11 @@ TEST(TraceValidation, CatchesCyclicTruncationBugAtSmallN) {
     const auto blocked = layout::BitLayout::blocked(1, 3);
     const auto cyclic = layout::BitLayout::cyclic(1, 3);
     std::vector<std::uint32_t> keys(n, static_cast<std::uint32_t>(p.rank()));
-    std::vector<std::uint32_t> scratch;
+    std::vector<std::uint32_t> scratch(n);
     bitonic::RemapWorkspace to_cyclic, to_blocked;
     for (std::uint64_t i = 0; i < lgP; ++i) {
-      remap_data(p, blocked, cyclic, keys, scratch, to_cyclic);
-      remap_data(p, cyclic, blocked, keys, scratch, to_blocked);
+      bitonic::remap_data_into(p, blocked, cyclic, keys, scratch, to_cyclic);
+      bitonic::remap_data_into(p, cyclic, blocked, scratch, keys, to_blocked);
     }
   });
 
