@@ -3,8 +3,8 @@
 // forms vs values measured on the simulated machine — plus the LogP and
 // LogGP time predictions.
 //
-// The measured side is taken from a traced run and cross-checked with
-// the trace/ model validator (the same check the test suite runs); the
+// The measured side is taken from the exchange records of a recorded
+// run and cross-checked with the trace/ model validator (the same check the test suite runs); the
 // per-exchange records are exported as TRACE_comm_metrics.jsonl
 // (override the path with argv[1]) next to the BENCH_*.json outputs.
 //
@@ -45,7 +45,7 @@ TracedRun run_traced(
     int P, const std::function<void(bsort::simd::Proc&, std::span<std::uint32_t>)>& body) {
   using namespace bsort;
   simd::Machine m(P, loggp::meiko_cs2(), simd::MessageMode::kLong);
-  m.enable_tracing();
+  m.enable_profiling();
   auto keys = util::generate_keys(n * static_cast<std::size_t>(P),
                                   util::KeyDistribution::kUniform31, 1);
   m.run([&](simd::Proc& p) {
@@ -53,7 +53,7 @@ TracedRun run_traced(
   });
   TracedRun out;
   out.sorted = std::is_sorted(keys.begin(), keys.end());
-  out.per_proc = trace::measure(m.vp_trace(0));
+  out.per_proc = trace::measure(m.vp_spans(0));
   out.report = trace::validate_run(m, strategy, n);
   trace::write_jsonl(jsonl, m, {.label = "bench_comm_metrics", .algorithm = name,
                                 .keys_per_proc = n});

@@ -2,8 +2,8 @@
 // bitonic sort across machine sizes, plus a steady-state allocation
 // audit of the pooled exchange path (a warmed-up remap must perform
 // ZERO heap allocations — arenas, workspaces and worker threads are all
-// recycled).  The same audit covers the tracing, span-profiling and
-// hardening layers when armed, and the heap allocations of one warm
+// recycled).  The same audit covers the recording (span ring +
+// metrics) and hardening layers when armed, and the heap allocations of one warm
 // pooled parallel_sort_on call are counted.  Emits JSON on stdout for machine
 // consumption; with an output path argument it also writes a
 // bsort-bench-v1 report (BENCH_machine.json) for the CI gate.
@@ -240,84 +240,16 @@ int main(int argc, char** argv) {
     }
   }
 
-  // ---- tracing overhead + traced allocation audit -------------------
-  // The same warmed-up remap loop, run once with tracing disabled and
-  // once enabled: the rings are preallocated at enable_tracing(), so the
-  // traced measured window must ALSO allocate exactly nothing, and the
-  // wall-time ratio shows what recording costs (disabled tracing is one
-  // predicted branch per exchange).
-  {
-    const int P = 16;
-    const int log_p = 4;
-    const int log_n = 10;
-    const std::size_t n = std::size_t{1} << log_n;
-    const int kWarmup = 3;
-    const int kMeasured = 20;
-
-    simd::Machine m(P, loggp::meiko_cs2(), simd::MessageMode::kLong);
-    std::atomic<std::uint64_t> window_allocs{0};
-    const auto program = [&](simd::Proc& p) {
-      const auto blocked = layout::BitLayout::blocked(log_n, log_p);
-      const auto cyclic = layout::BitLayout::cyclic(log_n, log_p);
-      std::vector<std::uint32_t> a(n), b(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        a[i] = static_cast<std::uint32_t>((i * 2654435761u) ^
-                                          static_cast<std::uint32_t>(p.rank()));
-      }
-      bitonic::RemapWorkspace ws_bc, ws_cb;
-      for (int r = 0; r < kWarmup; ++r) {
-        bitonic::remap_data_into(p, blocked, cyclic, a, b, ws_bc);
-        bitonic::remap_data_into(p, cyclic, blocked, b, a, ws_cb);
-      }
-      p.barrier();
-      std::uint64_t t0 = 0;
-      if (p.rank() == 0) t0 = g_allocs.load();
-      for (int r = 0; r < kMeasured; ++r) {
-        bitonic::remap_data_into(p, blocked, cyclic, a, b, ws_bc);
-        bitonic::remap_data_into(p, cyclic, blocked, b, a, ws_cb);
-      }
-      p.barrier();
-      if (p.rank() == 0) window_allocs.store(g_allocs.load() - t0);
-    };
-
-    const auto rep_off = m.run(program);  // tracing disabled
-    const std::uint64_t allocs_off = window_allocs.load();
-    m.enable_tracing(256);
-    const auto rep_on = m.run(program);
-    const std::uint64_t allocs_on = window_allocs.load();
-    std::size_t events = 0;
-    std::uint64_t dropped = 0;
-    for (int r = 0; r < P; ++r) {
-      events += m.vp_trace(r).size();
-      dropped += m.vp_trace(r).dropped();
-    }
-
-    std::cout << "  \"tracing\": {\"nprocs\": " << P << ", \"keys_per_proc\": " << n
-              << ", \"events_recorded\": " << events << ", \"events_dropped\": " << dropped
-              << ", \"heap_allocations_untraced\": " << allocs_off
-              << ", \"heap_allocations_traced\": " << allocs_on
-              << ", \"wall_seconds_untraced\": " << rep_off.wall_seconds
-              << ", \"wall_seconds_traced\": " << rep_on.wall_seconds
-              << ", \"wall_ratio\": " << (rep_on.wall_seconds / rep_off.wall_seconds)
-              << "},\n";
-    report.add_count("tracing/heap_allocations_traced", static_cast<double>(allocs_on));
-    report.add_count("tracing/events_recorded", static_cast<double>(events));
-    if (allocs_on != 0) {
-      std::cerr << "WARNING: traced steady-state remap performed " << allocs_on
-                << " heap allocations (expected 0)\n";
-      return 3;
-    }
-  }
-
-  // ---- span-profiling overhead + profiled allocation audit ------------
-  // Same warmed-up remap loop with the span profiler and metrics armed:
-  // every remap opens a structural kRemap span, every timed section a
-  // leaf span, every barrier a kBarrierWait span, and every exchange
-  // feeds the byte/skew histograms.  The per-VP span rings and
-  // histograms are preallocated at enable_profiling(), so the profiled
-  // measured window must allocate exactly nothing; the wall ratio is
-  // the recording cost (disabled profiling is one predicted branch per
-  // span site).
+  // ---- recording overhead + recorded allocation audit -----------------
+  // Same warmed-up remap loop with recording armed: every remap opens a
+  // structural kRemap span, every timed section a leaf span, every
+  // barrier a kBarrierWait span, and every exchange writes one exchange
+  // record (its V/M payload and remap annotation) that also feeds the
+  // byte/skew histograms.  The per-VP rings and histograms are
+  // preallocated at enable_profiling(), so the recorded measured window
+  // must allocate exactly nothing, and exchanges_metered counts every
+  // exchange exactly; the wall ratio is the recording cost (disabled
+  // recording is one predicted branch per site).
   {
     const int P = 16;
     const int log_p = 4;

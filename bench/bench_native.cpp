@@ -39,8 +39,10 @@
 #include "bench_report.hpp"
 #include "loggp/choose.hpp"
 #include "loggp/cost.hpp"
+#include "obs/spans.hpp"
 #include "simd/machine.hpp"
 #include "trace/fit.hpp"
+#include "trace/validate.hpp"
 #include "util/random.hpp"
 
 namespace {
@@ -59,17 +61,16 @@ struct SortRun {
   std::uint64_t elements_sent = 0;
 };
 
-/// Run one sort on a fresh native machine with tracing and price its
-/// traced schedule with `fitted`.
+/// Run one sort on a fresh native machine with recording on and price
+/// its recorded schedule with `fitted`.
 SortRun run_sort(api::Algorithm algorithm, const loggp::Params& fitted) {
   simd::Machine m(kP, loggp::meiko_cs2(), simd::MessageMode::kLong, 1.0,
                   backend::make(backend::Kind::kNative));
-  m.enable_tracing();
-
   api::Config cfg;
   cfg.nprocs = kP;
   cfg.algorithm = algorithm;
   cfg.mode = simd::MessageMode::kLong;
+  cfg.profile_spans = 4096;  // parallel_sort_on arms recording from the config
   auto keys = util::generate_keys(kKeysPerProc * kP,
                                   util::KeyDistribution::kUniform31, 29);
 
@@ -84,12 +85,11 @@ SortRun run_sort(api::Algorithm algorithm, const loggp::Params& fitted) {
     out.measured_comm_us += phases.transfer();
   }
   for (int r = 0; r < kP; ++r) {
-    const auto& t = m.vp_trace(r);
-    for (std::size_t i = 0; i < t.size(); ++i) {
-      const auto& e = t[i];
-      if (e.elements == 0) continue;
+    trace::for_each_exchange(m.vp_spans(r), [&](const obs::SpanRecord& e,
+                                                const trace::PhaseDelta&) {
+      if (e.elements == 0) return;
       out.model_comm_us += loggp::remap_time_long(fitted, e.elements, e.messages, 4);
-    }
+    });
   }
   return out;
 }

@@ -50,10 +50,12 @@ struct Config {
   backend::Kind backend = backend::Kind::kSimulated;
 
   // ---- observability (src/obs/) -------------------------------------
-  /// Per-VP span ring capacity; 0 disables profiling.  When set, the
-  /// run records span timelines and metrics (Outcome.report.obs carries
-  /// the phase/metric table) and Machine::vp_spans() feeds the Perfetto
-  /// exporter — see obs/perfetto.hpp.
+  /// Per-VP record ring capacity; 0 disables recording.  When set, the
+  /// run records span timelines, one record per exchange and metrics
+  /// (Outcome.report.obs carries the phase/metric table), and
+  /// Machine::vp_spans() feeds the Perfetto exporter (obs/perfetto.hpp)
+  /// and the exchange-trace readers (trace/jsonl.hpp, trace/validate.hpp,
+  /// trace/fit.hpp).
   std::size_t profile_spans = 0;
 
   // ---- hardening knobs (src/fault/) ---------------------------------

@@ -21,16 +21,16 @@
 // elements it injects; the native backend charges the RECEIVER for the
 // copies it performs (the receiver pulls).  Totals over all VPs agree
 // on balanced patterns; per-VP attribution can differ on asymmetric
-// ones — trace::ExchangeEvent keeps recording the send-side V/M next
-// to whatever time was charged, so calibration fits stay well-posed on
-// the symmetric micro-benchmarks trace::calibrate runs.
+// ones — each exchange record (obs::SpanRecord) keeps the send-side
+// V/M next to whatever time was charged, so calibration fits stay
+// well-posed on the symmetric micro-benchmarks trace::calibrate runs.
 //
 // Backends are stateless and shared across VPs: collect() is called
 // concurrently by every VP's worker thread and must only touch the
 // per-VP state passed in.  A collect() call performs zero steady-state
 // heap allocations (the recv arena is a persistent per-VP buffer that
 // reaches its high-water mark during warm-up) — audited in
-// bench_machine_overhead alongside the tracing/profiling layers.
+// bench_machine_overhead alongside the recording layer.
 #pragma once
 
 #include <cstddef>

@@ -36,7 +36,7 @@ namespace bsort {
 struct ErrorContext {
   int rank = -1;               ///< VP that raised the error
   std::int64_t exchange = -1;  ///< exchange ordinal on that VP (0-based)
-  std::int64_t remap = -1;     ///< remap ordinal (only when tracing is on)
+  std::int64_t remap = -1;     ///< remap ordinal (only when recording is on)
 };
 
 class Error : public std::runtime_error {

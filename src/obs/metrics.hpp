@@ -3,12 +3,12 @@
 // phase/metric table (p50/p95/max across VPs).
 //
 // Every metric is owned by exactly one VP and written only by that VP's
-// worker thread (the same single-writer discipline as the trace and
-// span rings), so recording needs no locks or atomics.  Recording is
-// pure arithmetic on preallocated state: the armed metrics layer
-// performs zero steady-state heap allocations (audited in
-// bench_machine_overhead), and the disabled layer costs one predicted
-// branch per site.
+// worker thread, as each span record is written into its ring
+// (Proc::record, the one writer of both), so recording needs no locks
+// or atomics.  Recording is pure arithmetic on preallocated state: the
+// armed metrics layer performs zero steady-state heap allocations
+// (audited in bench_machine_overhead), and the disabled layer costs one
+// predicted branch per site.
 //
 // Histograms use 64 power-of-two buckets (bucket b counts samples in
 // [2^b, 2^(b+1)); values < 1 land in bucket 0, values beyond 2^63

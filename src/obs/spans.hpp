@@ -1,4 +1,4 @@
-// Span timeline model: what one VP records about where its time went.
+// Span timeline model: the one per-VP recorder of a run.
 //
 // The thesis' whole argument is a time breakdown — local sort vs. merge
 // steps vs. remap communication (Tables 5.1-5.4) — so the simulator
@@ -20,22 +20,30 @@
 //     giving the timeline its named hierarchy; the span arg carries the
 //     remap ordinal / stage number.
 //
+// Each "exchange" leaf record also carries the exchange's payload — the
+// communication pattern, the remap annotation and the injected-fault
+// bits — so the same ring feeds the trace readers (JSONL export, model
+// validation, parameter fitting; src/trace/) as well as the metrics and
+// the Perfetto exporter.
+//
 // Constraints (enforced by bench_machine_overhead's audit):
-//   * disabled profiling costs one predicted branch per span site;
-//   * enabled profiling performs zero steady-state heap allocations:
+//   * disabled recording costs one predicted branch per span site;
+//   * enabled recording performs zero steady-state heap allocations:
 //     the ring is sized once at Machine::enable_profiling() and
 //     overwrites its oldest records on overflow (dropped() reports how
 //     many).
 //
-// This header is dependency-free so simd/machine.hpp can include it;
-// the RAII helper (obs/profile.hpp), the metric aggregation
-// (obs/metrics.hpp) and the Perfetto exporter (obs/perfetto.hpp) layer
-// on top.
+// This header depends only on the dependency-free trace/events.hpp so
+// simd/machine.hpp can include it; the RAII helper (obs/profile.hpp),
+// the metric aggregation (obs/metrics.hpp) and the Perfetto exporter
+// (obs/perfetto.hpp) layer on top.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
+
+#include "trace/events.hpp"
 
 namespace bsort::obs {
 
@@ -73,15 +81,27 @@ constexpr bool span_kind_is_leaf(SpanKind k) {
 /// value in the ring.  Simulated times come from the VP's clock;
 /// host times from CLOCK_THREAD_CPUTIME_ID (so a span's host cost is
 /// immune to oversubscription, like Proc::timed measurements).
+///
+/// kExchange records carry the exchange payload below; its `arg` is the
+/// exchange ordinal on this VP, its simulated duration the transfer
+/// time charged and its sim_end_us the VP clock after the charge.  Other
+/// kinds leave the payload at its defaults.
 struct SpanRecord {
   double sim_begin_us = 0;
   double sim_end_us = 0;
   double host_begin_us = 0;  ///< thread-CPU clock (0 when unavailable)
   double host_end_us = 0;
-  std::int32_t arg = -1;  ///< remap ordinal / stage number / -1
+  std::uint64_t elements = 0;  ///< exchange: V_i, keys sent by this VP
+  std::uint64_t messages = 0;  ///< exchange: M_i as charged (== elements in short mode)
+  std::int32_t arg = -1;       ///< exchange ordinal / remap ordinal / stage number / -1
+  std::int32_t remap = -1;     ///< exchange: remap ordinal if annotated via trace_remap()
+  std::uint32_t peers = 0;     ///< exchange: non-self payload-bearing send peers
+  std::int16_t group_log2 = -1;  ///< exchange: r, the exchange group has 2^r members
+  trace::LayoutTag layout_from = trace::LayoutTag::kUnknown;
+  trace::LayoutTag layout_to = trace::LayoutTag::kUnknown;
   SpanKind kind = SpanKind::kCompute;
   std::uint8_t depth = 0;       ///< nesting depth at begin (0 = top level)
-  std::uint8_t fault_mask = 0;  ///< trace::kFault* bits (kFault instants)
+  std::uint8_t fault_mask = 0;  ///< trace::kFault* bits (exchanges, kFault instants)
 
   [[nodiscard]] double sim_us() const { return sim_end_us - sim_begin_us; }
   [[nodiscard]] double host_us() const { return host_end_us - host_begin_us; }
@@ -89,55 +109,57 @@ struct SpanRecord {
 
 /// Fixed-capacity single-writer ring of SpanRecords.  Each VP owns one;
 /// only that VP's worker thread writes it, and readers look only after
-/// Machine::run() returned, so no synchronization is needed.  (Same
-/// discipline as trace::VpTrace.)
+/// Machine::run() returned, so no synchronization is needed.
 class VpSpans {
  public:
-  /// (Re)allocate to `capacity` records and drop any recorded ones.
+  /// Size the ring to `capacity` records and drop any recorded ones.
+  /// The storage is reserved, not written: a run touches only the pages
+  /// its records land in, so arming a large ring per call stays cheap.
   void reset(std::size_t capacity) {
-    buf_.assign(capacity, SpanRecord{});
+    if (capacity != capacity_) {
+      buf_ = std::vector<SpanRecord>();
+      buf_.reserve(capacity);
+      capacity_ = capacity;
+    }
     clear();
   }
 
   /// Drop recorded records; keeps the allocation.
   void clear() {
+    buf_.clear();
     head_ = 0;
-    count_ = 0;
     dropped_ = 0;
   }
 
   /// Append one record, overwriting the oldest when full.  Never
-  /// allocates.
+  /// allocates (appends stay inside the reserved storage).
   void push(const SpanRecord& r) {
-    if (buf_.empty()) {
-      ++dropped_;
+    if (buf_.size() < capacity_) {
+      buf_.push_back(r);
       return;
     }
+    ++dropped_;
+    if (capacity_ == 0) return;
     buf_[head_] = r;
-    head_ = head_ + 1 == buf_.size() ? 0 : head_ + 1;
-    if (count_ < buf_.size()) {
-      ++count_;
-    } else {
-      ++dropped_;
-    }
+    head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;
   }
 
-  [[nodiscard]] std::size_t size() const { return count_; }
-  [[nodiscard]] std::size_t capacity() const { return buf_.size(); }
+  [[nodiscard]] std::size_t size() const { return buf_.size(); }
+  [[nodiscard]] std::size_t capacity() const { return capacity_; }
   /// Records overwritten (or discarded on a zero-capacity ring).
   [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
 
-  /// i-th retained record, oldest first (i.e. span END order).
+  /// i-th retained record, oldest first (i.e. span END order).  Until
+  /// the ring wraps, head_ is 0 and the oldest record is buf_[0].
   [[nodiscard]] const SpanRecord& operator[](std::size_t i) const {
-    const std::size_t oldest = count_ < buf_.size() ? 0 : head_;
-    const std::size_t at = oldest + i;
+    const std::size_t at = head_ + i;
     return buf_[at < buf_.size() ? at : at - buf_.size()];
   }
 
  private:
-  std::vector<SpanRecord> buf_;
-  std::size_t head_ = 0;
-  std::size_t count_ = 0;
+  std::vector<SpanRecord> buf_;  ///< retained records; capacity() reserved
+  std::size_t capacity_ = 0;
+  std::size_t head_ = 0;         ///< next slot to overwrite once full
   std::uint64_t dropped_ = 0;
 };
 

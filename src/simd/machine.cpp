@@ -71,6 +71,22 @@ bool probe_thread_clock() {
   return res.tv_sec == 0 && res.tv_nsec <= 1000;
 }
 
+/// The recorder accessors' contract: while recording is off the rings
+/// are empty vectors, so indexing them would read out of bounds.
+void check_recorded(const char* what, bool enabled, int rank, int nprocs) {
+  if (!enabled) {
+    throw ConfigError(std::string(what) +
+                          ": recording is disabled on this machine (call "
+                          "enable_profiling() before the run)",
+                      {.rank = rank});
+  }
+  if (rank < 0 || rank >= nprocs) {
+    std::ostringstream os;
+    os << what << ": rank " << rank << " outside [0, " << nprocs << ")";
+    throw ConfigError(os.str(), {.rank = rank});
+  }
+}
+
 }  // namespace
 
 /// Sentinel in recv_declared: this view carries no integrity seal (self
@@ -169,19 +185,13 @@ struct Machine::Impl {
   std::vector<Cell> cells;  ///< cells[dst * P + src]
   std::vector<VpState> vps;
 
-  // ---- run tracing (src/trace/) -------------------------------------
+  // ---- recording: span rings & metrics (src/obs/) -------------------
   // Rings are per-VP and single-writer (each VP appends only to its
   // own), so recording needs no locks; enable/disable happen between
-  // runs only.
-  bool trace_enabled = false;
-  std::vector<trace::VpTrace> traces;
-
-  // ---- span profiling & metrics (src/obs/) --------------------------
-  // Same single-writer discipline as the trace rings.  obs_armed is the
-  // per-run fast-path flag: the span stack is maintained whenever
-  // profiling OR a watchdog is on (the watchdog diagnosis reads it),
-  // but rings, host-clock reads and metrics cost nothing unless
-  // obs_enabled.
+  // runs only.  obs_armed is the per-run fast-path flag: the span stack
+  // is maintained whenever recording OR a watchdog is on (the watchdog
+  // diagnosis reads it), but rings, host-clock reads and metrics cost
+  // nothing unless obs_enabled.
   bool obs_enabled = false;
   bool obs_armed = false;  ///< obs_enabled || watchdog_s > 0, set by run()
   std::vector<obs::VpSpans> spans;
@@ -365,25 +375,6 @@ Machine::~Machine() {
 
 bool Machine::concurrent_timing() const { return impl_->thread_clock; }
 
-void Machine::enable_tracing(std::size_t events_per_vp) {
-  impl_->traces.resize(static_cast<std::size_t>(nprocs_));
-  for (auto& t : impl_->traces) t.reset(events_per_vp);
-  impl_->trace_enabled = true;
-}
-
-void Machine::disable_tracing() {
-  impl_->trace_enabled = false;
-  impl_->traces.clear();
-  impl_->traces.shrink_to_fit();
-}
-
-bool Machine::tracing() const { return impl_->trace_enabled; }
-
-const trace::VpTrace& Machine::vp_trace(int rank) const {
-  assert(impl_->trace_enabled && rank >= 0 && rank < nprocs_);
-  return impl_->traces[static_cast<std::size_t>(rank)];
-}
-
 void Machine::enable_profiling(std::size_t spans_per_vp) {
   impl_->spans.resize(static_cast<std::size_t>(nprocs_));
   for (auto& s : impl_->spans) s.reset(spans_per_vp);
@@ -403,12 +394,12 @@ void Machine::disable_profiling() {
 bool Machine::profiling() const { return impl_->obs_enabled; }
 
 const obs::VpSpans& Machine::vp_spans(int rank) const {
-  assert(impl_->obs_enabled && rank >= 0 && rank < nprocs_);
+  check_recorded("vp_spans", impl_->obs_enabled, rank, nprocs_);
   return impl_->spans[static_cast<std::size_t>(rank)];
 }
 
 const obs::VpMetrics& Machine::vp_metrics(int rank) const {
-  assert(impl_->obs_enabled && rank >= 0 && rank < nprocs_);
+  check_recorded("vp_metrics", impl_->obs_enabled, rank, nprocs_);
   return impl_->metrics[static_cast<std::size_t>(rank)];
 }
 
@@ -546,34 +537,57 @@ int Proc::span_begin(obs::SpanKind kind, std::int32_t arg) {
   return tok;
 }
 
-void Proc::span_end(int token) {
-  if (token < 0) return;
-  auto& impl = *machine_.impl_;
-  if (token >= span_depth_) return;  // stack already unwound past this span
+bool Proc::pop_span(int token, obs::SpanRecord& r) {
+  if (token < 0) return false;
+  if (token >= span_depth_) return false;  // stack already unwound past this span
   const OpenSpan s = span_stack_[token];
   span_depth_ = token;  // closes this span and anything left open inside it
-  if (impl.obs_enabled) {
-    obs::SpanRecord r;
-    r.sim_begin_us = s.sim0;
-    r.sim_end_us = clock_us_;
-    r.host_begin_us = s.host0;
-    r.host_end_us = thread_now_us();
-    r.arg = s.arg;
-    r.kind = s.kind;
-    r.depth = static_cast<std::uint8_t>(token);
-    impl.spans[static_cast<std::size_t>(rank_)].push(r);
-    auto& m = impl.metrics[static_cast<std::size_t>(rank_)];
-    const auto k = static_cast<std::size_t>(s.kind);
-    m.span_us[k] += r.sim_us();
-    m.span_count[k] += 1;
-  }
   publish_span_state();
+  if (!machine_.impl_->obs_enabled) return false;
+  r.sim_begin_us = s.sim0;
+  r.sim_end_us = clock_us_;
+  r.host_begin_us = s.host0;
+  r.host_end_us = thread_now_us();
+  r.arg = s.arg;
+  r.kind = s.kind;
+  r.depth = static_cast<std::uint8_t>(token);
+  return true;
+}
+
+void Proc::record(const obs::SpanRecord& r) {
+  auto& impl = *machine_.impl_;
+  const auto rank = static_cast<std::size_t>(rank_);
+  impl.spans[rank].push(r);
+  auto& m = impl.metrics[rank];
+  const auto k = static_cast<std::size_t>(r.kind);
+  m.span_us[k] += r.sim_us();
+  m.span_count[k] += 1;
+  constexpr double kKeyBytes = sizeof(std::uint32_t);
+  if (r.kind == obs::SpanKind::kBarrierWait) {
+    // The clock jump absorbed at the barrier is BSP skew.
+    m.barriers += 1;
+    m.barrier_skew_us.record(r.sim_us());
+  } else if (r.kind == obs::SpanKind::kExchange) {
+    m.exchanges += 1;
+    m.exchange_bytes.record(static_cast<double>(r.elements) * kKeyBytes);
+    // Slot sizes come from the exchange being committed.
+    const auto& vp = *vp_;
+    for (std::size_t i = 0; i < vp.send_peers.size(); ++i) {
+      if (static_cast<int>(vp.send_peers[i]) == rank_ || vp.slot_len[i] == 0) continue;
+      m.slot_bytes.record(static_cast<double>(vp.slot_len[i]) * kKeyBytes);
+    }
+  }
+}
+
+void Proc::span_end(int token) {
+  if (token < 0) return;  // one predicted branch when nothing is armed
+  obs::SpanRecord r;
+  if (pop_span(token, r)) record(r);
 }
 
 void Proc::span_instant(obs::SpanKind kind, std::int32_t arg,
                         std::uint8_t fault_mask) {
-  auto& impl = *machine_.impl_;
-  if (!impl.obs_enabled) return;
+  if (!machine_.impl_->obs_enabled) return;
   obs::SpanRecord r;
   const double host = thread_now_us();
   r.sim_begin_us = clock_us_;
@@ -584,9 +598,7 @@ void Proc::span_instant(obs::SpanKind kind, std::int32_t arg,
   r.kind = kind;
   r.depth = static_cast<std::uint8_t>(span_depth_);
   r.fault_mask = fault_mask;
-  impl.spans[static_cast<std::size_t>(rank_)].push(r);
-  impl.metrics[static_cast<std::size_t>(rank_)]
-      .span_count[static_cast<std::size_t>(kind)] += 1;
+  record(r);
 }
 
 int Proc::span_begin_phase(Phase phase) {
@@ -601,52 +613,20 @@ int Proc::span_begin_phase(Phase phase) {
 void Proc::barrier() {
   check_outside_timed("barrier");
   publish_state("barrier");
-  // The clock jump absorbed here is BSP skew — a leaf span plus the
-  // barrier_skew_us histogram.
+  // The clock jump absorbed here is BSP skew: a leaf span whose
+  // duration record() also files under barrier_skew_us.
   const int sp = span_begin(obs::SpanKind::kBarrierWait);
-  const double before = clock_us_;
   clock_us_ = machine_.impl_->barrier_sync(clock_us_);
   span_end(sp);
-  if (machine_.impl_->obs_enabled) {
-    auto& m = machine_.impl_->metrics[static_cast<std::size_t>(rank_)];
-    m.barrier_skew_us.record(clock_us_ - before);
-    m.barriers += 1;
-  }
   publish_state("running");
 }
 
 void Proc::trace_remap(int group_log2, trace::LayoutTag from, trace::LayoutTag to) {
-  if (!machine_.impl_->trace_enabled) return;
+  if (!machine_.impl_->obs_enabled) return;
   trace_ann_.group_log2 = static_cast<std::int16_t>(group_log2);
   trace_ann_.from = from;
   trace_ann_.to = to;
   trace_ann_.armed = true;
-}
-
-void Proc::record_trace_event(std::uint64_t elements, std::uint64_t messages,
-                              std::uint32_t peers, double charged_us,
-                              std::uint8_t fault_mask) {
-  trace::ExchangeEvent e;
-  e.fault_mask = fault_mask;
-  // comm_ was already updated for this exchange; exchanges is 1-based.
-  e.seq = static_cast<std::uint32_t>(comm_.exchanges - 1);
-  if (trace_ann_.armed) {
-    e.remap = trace_remaps_++;
-    e.group_log2 = trace_ann_.group_log2;
-    e.layout_from = trace_ann_.from;
-    e.layout_to = trace_ann_.to;
-    trace_ann_ = TraceAnnotation{};
-  }
-  e.peers = peers;
-  e.elements = elements;
-  e.messages = messages;
-  e.charged_us = charged_us;
-  e.compute_us = phases_.compute() - trace_snap_.compute();
-  e.pack_us = phases_.pack() - trace_snap_.pack();
-  e.unpack_us = phases_.unpack() - trace_snap_.unpack();
-  e.clock_us = clock_us_;
-  trace_snap_ = phases_;
-  machine_.impl_->traces[static_cast<std::size_t>(rank_)].push(e);
 }
 
 void Proc::open_exchange(std::span<const std::uint64_t> send_peers,
@@ -835,36 +815,32 @@ void Proc::commit_exchange() {
   // Leaf span covering the backend's collect plus the transfer charge
   // (the barrier wait above already has its own leaf span — no double
   // counting).  On the native backend the span's host time therefore
-  // brackets the real memcpys.
-  const int xsp = span_begin(obs::SpanKind::kExchange,
-                             static_cast<std::int32_t>(comm_.exchanges));
+  // brackets the real memcpys.  Its record carries the exchange payload.
+  const auto seq = static_cast<std::int32_t>(comm_.exchanges);
+  const int xsp = span_begin(obs::SpanKind::kExchange, seq);
   const double t = impl.backend->collect(
       xd, {vp.recv_views.data(), vp.recv_views.size()}, self_view,
       vp.recv_arena);
   charge(Phase::kTransfer, t);
-  span_end(xsp);
-  if (impl.obs_enabled) {
-    auto& m = impl.metrics[static_cast<std::size_t>(rank_)];
-    m.exchanges += 1;
-    m.exchange_bytes.record(static_cast<double>(elements) *
-                            static_cast<double>(sizeof(std::uint32_t)));
-    for (std::size_t i = 0; i < vp.send_peers.size(); ++i) {
-      if (static_cast<int>(vp.send_peers[i]) == rank_ || vp.slot_len[i] == 0) continue;
-      m.slot_bytes.record(static_cast<double>(vp.slot_len[i]) *
-                          static_cast<double>(sizeof(std::uint32_t)));
+  obs::SpanRecord r;
+  if (pop_span(xsp, r)) {
+    r.elements = elements;
+    r.messages = messages;
+    r.peers = static_cast<std::uint32_t>(peers);
+    r.fault_mask = fault_mask;
+    if (trace_ann_.armed) {
+      r.remap = trace_remaps_++;
+      r.group_log2 = trace_ann_.group_log2;
+      r.layout_from = trace_ann_.from;
+      r.layout_to = trace_ann_.to;
+      trace_ann_ = TraceAnnotation{};
     }
-    if (fault_mask != 0) {
-      span_instant(obs::SpanKind::kFault,
-                   static_cast<std::int32_t>(comm_.exchanges), fault_mask);
-    }
+    record(r);
+    if (fault_mask != 0) span_instant(obs::SpanKind::kFault, seq, fault_mask);
   }
   comm_.exchanges += 1;
   comm_.elements_sent += elements;
   comm_.messages_sent += messages;
-  if (impl.trace_enabled) {
-    record_trace_event(elements, messages, static_cast<std::uint32_t>(peers), t,
-                       fault_mask);
-  }
   vp.open = false;
   publish_state("running");
 }
@@ -882,11 +858,11 @@ std::span<const std::uint32_t> Proc::recv_view(std::size_t i) const {
   const auto view = vp.recv_views[i];
   if (machine_.impl_->integrity && i < vp.recv_declared.size() &&
       vp.recv_declared[i] != kUnsealed) {
-    // The context names the exchange just committed (and, when tracing
-    // is on, its remap ordinal) so a mismatch is attributable to one
-    // schedule step.
+    // The context names the exchange just committed (and, when
+    // recording is on, its remap ordinal) so a mismatch is attributable
+    // to one schedule step.
     const ErrorContext ctx{rank_, static_cast<std::int64_t>(comm_.exchanges) - 1,
-                           machine_.impl_->trace_enabled
+                           machine_.impl_->obs_enabled
                                ? static_cast<std::int64_t>(trace_remaps_) - 1
                                : -1};
     const auto sender = static_cast<std::int64_t>(vp.recv_peers[i]);
@@ -1050,13 +1026,10 @@ std::vector<std::uint32_t> Proc::exchange_with(std::uint64_t partner,
 
 RunReport Machine::run(const std::function<void(Proc&)>& program) {
   const auto wall0 = std::chrono::steady_clock::now();
-  // Traces describe the most recent run only (capacity is retained).
-  if (impl_->trace_enabled) {
-    for (auto& t : impl_->traces) t.clear();
-  }
   // Span stacks are also the watchdog's stuck-phase diagnosis, so they
   // are maintained whenever either consumer is on.
   impl_->obs_armed = impl_->obs_enabled || impl_->watchdog_s > 0;
+  // Rings describe the most recent run only (capacity is retained).
   if (impl_->obs_enabled) {
     for (auto& s : impl_->spans) s.clear();
     for (auto& m : impl_->metrics) m.clear();

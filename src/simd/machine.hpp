@@ -46,36 +46,32 @@
 // remap performs zero heap allocations.  The legacy vector-based
 // exchange() is a compatibility wrapper over the pooled path.
 //
-// Run tracing
-// -----------
-// enable_tracing() arms a per-VP ring buffer of trace::ExchangeEvents;
-// every commit_exchange() then records the exchange's V/M counters, the
-// transfer time the backend charged (analytic LogP/LogGP on the
-// simulated backend, measured copy time on the native one), and the
-// phase-time deltas — plus the remap
-// annotation (ordinal, group size 2^r, layout transition) when the sort
-// called Proc::trace_remap() first.  The trace/ subsystem exports the
-// rings as JSONL, validates them against the Section 3.4 closed forms,
-// and fits (L, o, g, G) back out of them; see src/trace/.
-//
-// Span profiling & metrics (src/obs/)
-// -----------------------------------
-// enable_profiling() arms per-VP span timelines and metrics: the
-// Machine itself emits LEAF spans that tile the simulated clock exactly
-// (every timed section, the transfer charge of each exchange, the clock
-// jump of each barrier, injected straggler delays), and the sorts open
-// STRUCTURAL spans around them (local sort, merge stage, remap — see
-// obs/profile.hpp), each recorded on both the simulated clock and the
-// host thread-CPU clock into a preallocated per-VP ring.  The metrics
-// registry histograms bytes/exchange, slot sizes and barrier skew;
-// run() aggregates everything into RunReport::obs (p50/p95/max across
-// VPs).  obs/perfetto.hpp exports the rings as a Chrome trace-event
-// file (one track per VP).  Disabled profiling costs one predicted
-// branch per span site; enabled profiling allocates nothing in steady
-// state (audited in bench_machine_overhead).  The open-span stack also
-// feeds the barrier watchdog: a BarrierTimeout diagnosis names each
-// VP's innermost open structural span and leaf phase ("stuck in remap
-// 3 / unpack").
+// Recording: spans, exchanges and metrics (src/obs/, src/trace/)
+// --------------------------------------------------------------
+// enable_profiling() arms one preallocated record ring per VP plus its
+// metrics.  The Machine itself emits LEAF spans that tile the simulated
+// clock exactly (every timed section, the transfer charge of each
+// exchange, the clock jump of each barrier, injected straggler delays),
+// and the sorts open STRUCTURAL spans around them (local sort, merge
+// stage, remap — see obs/profile.hpp), each recorded on both the
+// simulated clock and the host thread-CPU clock.  Every exchange leaf
+// record also carries the exchange's V/M counters, its peers, injected
+// fault bits and — when the sort called Proc::trace_remap() first — the
+// remap annotation (ordinal, group size 2^r, layout transition); its
+// duration is the transfer time the backend charged (analytic
+// LogP/LogGP on the simulated backend, measured copy time on the
+// native one).  Each record is folded into the VP's metrics as it is
+// written (span time per kind, bytes/exchange, slot sizes, barrier
+// skew); run() aggregates those into RunReport::obs (p50/p95/max
+// across VPs).  Readers: obs/perfetto.hpp exports the rings as a Chrome
+// trace-event file (one track per VP); the trace/ subsystem exports the
+// exchange records as JSONL, validates them against the Section 3.4
+// closed forms and fits (L, o, g, G) back out of them.  Disabled
+// recording costs one predicted branch per site; enabled recording
+// allocates nothing in steady state (audited in bench_machine_overhead).
+// The open-span stack also feeds the barrier watchdog: a BarrierTimeout
+// diagnosis names each VP's innermost open structural span and leaf
+// phase ("stuck in remap 3 / unpack").
 //
 // Hardening (src/fault/)
 // ----------------------
@@ -222,8 +218,8 @@ class Proc {
 
   /// Annotate the NEXT committed exchange as a data remap: `group_log2`
   /// is r (the exchange group has 2^r members, Lemma 4), `from`/`to`
-  /// classify the layout transition.  No-op unless tracing is enabled on
-  /// the machine (one predicted branch), so sorts call it
+  /// classify the layout transition.  No-op unless recording is enabled
+  /// on the machine (one predicted branch), so sorts call it
   /// unconditionally before commit_exchange().  Each annotated exchange
   /// is numbered by a per-VP remap ordinal — the trace's measured R.
   void trace_remap(int group_log2, trace::LayoutTag from, trace::LayoutTag to);
@@ -309,6 +305,13 @@ class Proc {
   /// Leaf span for a timed section: kind derived from the phase, the
   /// upcoming exchange ordinal as the arg.
   int span_begin_phase(Phase phase);
+  /// Pop span `token` (and anything left open inside it) off the stack.
+  /// Returns true, with the span fields of `r` filled, when recording
+  /// is on; the caller then completes `r` and writes it with record().
+  bool pop_span(int token, obs::SpanRecord& r);
+  /// Write one record into this VP's ring and fold it into its metrics
+  /// (the only writer of either).
+  void record(const obs::SpanRecord& r);
 
   /// One open (not yet closed) span on this VP's span stack.
   struct OpenSpan {
@@ -322,17 +325,14 @@ class Proc {
   /// barrier watchdog diagnosis (no-op unless a watchdog is armed).
   void publish_span_state();
 
-  /// Pending trace_remap() annotation, consumed by the next
-  /// commit_exchange (only maintained while tracing is enabled).
+  /// Pending trace_remap() annotation, consumed by the next recorded
+  /// exchange (only set while recording is enabled).
   struct TraceAnnotation {
     std::int16_t group_log2 = -1;
     trace::LayoutTag from = trace::LayoutTag::kUnknown;
     trace::LayoutTag to = trace::LayoutTag::kUnknown;
     bool armed = false;
   };
-  void record_trace_event(std::uint64_t elements, std::uint64_t messages,
-                          std::uint32_t peers, double charged_us,
-                          std::uint8_t fault_mask);
 
   /// Throws ConfigError when called from inside a Proc::timed section
   /// (the documented contract; violating it used to deadlock).
@@ -341,7 +341,7 @@ class Proc {
   /// (one predicted branch) when no watchdog is armed.
   void publish_state(const char* where);
   /// Apply armed FaultPlan rules due at this commit; returns the
-  /// trace::ExchangeEvent fault mask (may throw an injected crash).
+  /// exchange record's trace::kFault* mask (may throw an injected crash).
   std::uint8_t apply_commit_faults();
 
   friend class Machine;
@@ -356,7 +356,6 @@ class Proc {
   PhaseBreakdown phases_;
   CommStats comm_;
   TraceAnnotation trace_ann_;
-  PhaseBreakdown trace_snap_;   ///< phase totals at the last recorded event
   std::int32_t trace_remaps_ = 0;  ///< annotated exchanges so far (measured R)
   OpenSpan span_stack_[kMaxSpanDepth];  ///< open spans, innermost last
   int span_depth_ = 0;                  ///< only maintained while armed
@@ -403,7 +402,7 @@ class Machine {
   // runs (api::parallel_sort_on applies the caller's Config through
   // these setters, so a pool member is indistinguishable from a fresh
   // machine — see the pool-reuse contract in api/parallel_sort.hpp).
-  // Like enable_tracing()/enable_profiling(), call only between runs.
+  // Like enable_profiling(), call only between runs.
 
   /// Switch LogP (short) / LogGP (long) charging for subsequent runs.
   void set_mode(MessageMode mode) { mode_ = mode; }
@@ -419,42 +418,25 @@ class Machine {
   /// (see "Timing calibration"); false in the sharded-lock fallback.
   [[nodiscard]] bool concurrent_timing() const;
 
-  // ---- Run tracing (src/trace/) -------------------------------------
+  // ---- Recording (src/obs/, src/trace/) -----------------------------
   //
-  // When enabled, every commit_exchange() records one ExchangeEvent into
-  // the calling VP's preallocated ring buffer (`events_per_vp` capacity;
-  // oldest events are overwritten on overflow).  Recording is
-  // allocation-free; disabled tracing costs one predicted branch per
-  // exchange.  Rings are cleared at the start of each run(), so
-  // vp_trace() always describes the most recent run.  Call
-  // enable/disable only between runs.
-
-  void enable_tracing(std::size_t events_per_vp = 4096);
-  void disable_tracing();
-  [[nodiscard]] bool tracing() const;
-  /// The (post-run) event ring of one VP; valid only while tracing is
-  /// enabled.
-  [[nodiscard]] const trace::VpTrace& vp_trace(int rank) const;
-
-  // ---- Span profiling & metrics (src/obs/) --------------------------
-  //
-  // When enabled, the Machine emits leaf spans (timed sections,
-  // transfer charges, barrier waits, straggler delays) and the sorts'
-  // structural spans into per-VP preallocated rings (`spans_per_vp`
-  // capacity, oldest spans overwritten on overflow), and the metrics
-  // registry histograms bytes/exchange, slot sizes and barrier skew.
-  // run() then fills RunReport::obs.  Same discipline as tracing:
-  // allocation-free recording, one predicted branch when disabled,
-  // rings cleared at run() start, flip only between runs.
+  // When enabled, the Machine writes leaf spans (timed sections,
+  // exchanges with their payload, barrier waits, straggler delays) and
+  // the sorts' structural spans into per-VP preallocated rings
+  // (`spans_per_vp` capacity, oldest records overwritten on overflow)
+  // and folds each record into the VP's metrics.  run() then fills
+  // RunReport::obs.  Recording is allocation-free and costs one
+  // predicted branch per site when disabled.  Rings are cleared at the
+  // start of each run(), so they always describe the most recent run.
+  // Call enable/disable only between runs.
 
   void enable_profiling(std::size_t spans_per_vp = 4096);
   void disable_profiling();
   [[nodiscard]] bool profiling() const;
-  /// The (post-run) span ring of one VP, in span-END order; valid only
-  /// while profiling is enabled.
+  /// The (post-run) record ring of one VP, in span-END order.  Throws
+  /// ConfigError when recording is disabled or `rank` is outside [0, P).
   [[nodiscard]] const obs::VpSpans& vp_spans(int rank) const;
-  /// The (post-run) metrics of one VP; valid only while profiling is
-  /// enabled.
+  /// The (post-run) metrics of one VP; same contract as vp_spans().
   [[nodiscard]] const obs::VpMetrics& vp_metrics(int rank) const;
 
   // ---- Hardening defenses (src/fault/) ------------------------------
@@ -462,7 +444,7 @@ class Machine {
   // All three default to OFF and cost one predicted branch per exchange
   // (integrity), per protocol step (watchdog state publishing), or
   // nothing at all (faults) when disabled — the same audit discipline
-  // as tracing (bench_machine_overhead checks it).  Flip them only
+  // as recording (bench_machine_overhead checks it).  Flip them only
   // between runs.
 
   /// Per-slot exchange integrity: commit_exchange seals every

@@ -1,36 +1,28 @@
-// Run-trace event model: what one VP records about one exchange.
+// Exchange-record vocabulary shared by the span records (obs/spans.hpp)
+// and the trace readers: the layout-transition tag a sort attaches to a
+// remap through Proc::trace_remap(), and the bits of an exchange
+// record's fault mask.
 //
 // The thesis validates its closed-form LogP/LogGP predictions against
-// measured runs (Section 5, Tables 5.1-5.4); this subsystem gives the
-// simulated machine the same discipline.  When tracing is enabled on a
-// Machine, every commit_exchange() appends one ExchangeEvent to the
-// calling VP's preallocated ring buffer: the communication pattern
-// (elements, messages, peers), the LogP/LogGP time actually charged,
-// the phase-time deltas since the previous event, and — when the sort
-// annotated the exchange via Proc::trace_remap() — the remap ordinal,
-// the group size 2^r, and the layout transition.
+// measured runs (Section 5, Tables 5.1-5.4).  The simulated machine
+// keeps the records that check needs in its one per-VP recorder, the
+// span ring: every commit_exchange() writes a kExchange leaf record
+// carrying the communication pattern (elements, messages, peers), the
+// charged transfer time (its simulated duration) and the remap
+// annotation.  The JSONL exporter, the model validator and the
+// parameter fitter read those records (trace/jsonl.hpp,
+// trace/validate.hpp, trace/fit.hpp).
 //
-// Constraints (enforced by bench_machine_overhead's audit):
-//   * disabled tracing costs one predicted branch per exchange and
-//     nothing else;
-//   * enabled tracing performs zero steady-state heap allocations: the
-//     ring is sized once at enable_tracing() and overwrites its oldest
-//     events on overflow (dropped() reports how many).
-//
-// This header is dependency-free so simd/machine.hpp can include it;
-// the JSONL exporter, the model validator and the parameter fitter
-// layer on top (trace/jsonl.hpp, trace/validate.hpp, trace/fit.hpp).
+// Dependency-free so obs/spans.hpp and simd/machine.hpp can include it.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace bsort::trace {
 
-/// Coarse classification of a BitLayout for trace records (the full bit
-/// pattern would be unbounded; the validator only needs the transition
-/// kind).
+/// Coarse classification of a BitLayout for exchange records (the full
+/// bit pattern would be unbounded; the validator only needs the
+/// transition kind).
 enum class LayoutTag : std::int8_t {
   kUnknown = -1,  ///< exchange was not annotated
   kBlocked = 0,
@@ -41,83 +33,12 @@ enum class LayoutTag : std::int8_t {
 
 const char* layout_tag_name(LayoutTag t);
 
-/// Bits of ExchangeEvent::fault_mask: which injected faults (if any)
-/// landed on this VP during this exchange's commit (src/fault/).
+/// Bits of an exchange record's fault_mask: which injected faults (if
+/// any) landed on this VP during this exchange's commit (src/fault/).
 inline constexpr std::uint8_t kFaultStraggler = 1u << 0;
 inline constexpr std::uint8_t kFaultCrash = 1u << 1;
 inline constexpr std::uint8_t kFaultCorrupt = 1u << 2;
 inline constexpr std::uint8_t kFaultTruncate = 1u << 3;
 inline constexpr std::uint8_t kFaultOversize = 1u << 4;
-
-/// One exchange as seen by one VP.  POD; stored by value in the ring.
-struct ExchangeEvent {
-  std::uint32_t seq = 0;      ///< exchange ordinal on this VP within the run
-  std::int32_t remap = -1;    ///< remap ordinal if annotated via trace_remap()
-  std::int16_t group_log2 = -1;  ///< r: exchange group size 2^r (annotated)
-  LayoutTag layout_from = LayoutTag::kUnknown;
-  LayoutTag layout_to = LayoutTag::kUnknown;
-  std::uint32_t peers = 0;       ///< non-self send peers of this exchange
-  std::uint64_t elements = 0;    ///< V_i: keys sent by this VP
-  std::uint64_t messages = 0;    ///< M_i as charged (== elements in short mode)
-  double charged_us = 0;         ///< LogP/LogGP transfer time charged
-  double compute_us = 0;         ///< phase deltas since the previous event
-  double pack_us = 0;
-  double unpack_us = 0;
-  double clock_us = 0;  ///< VP simulated clock after the charge
-  std::uint8_t fault_mask = 0;  ///< kFault* bits of injected faults that landed
-};
-
-/// Fixed-capacity single-writer ring of ExchangeEvents.  Each VP owns
-/// one; only that VP's worker thread writes it, and readers look only
-/// after Machine::run() returned, so no synchronization is needed.
-class VpTrace {
- public:
-  /// (Re)allocate to `capacity` events and drop any recorded ones.
-  void reset(std::size_t capacity) {
-    buf_.assign(capacity, ExchangeEvent{});
-    clear();
-  }
-
-  /// Drop recorded events; keeps the allocation.
-  void clear() {
-    head_ = 0;
-    count_ = 0;
-    dropped_ = 0;
-  }
-
-  /// Append one event, overwriting the oldest when full.  Never
-  /// allocates.
-  void push(const ExchangeEvent& e) {
-    if (buf_.empty()) {
-      ++dropped_;
-      return;
-    }
-    buf_[head_] = e;
-    head_ = head_ + 1 == buf_.size() ? 0 : head_ + 1;
-    if (count_ < buf_.size()) {
-      ++count_;
-    } else {
-      ++dropped_;
-    }
-  }
-
-  [[nodiscard]] std::size_t size() const { return count_; }
-  [[nodiscard]] std::size_t capacity() const { return buf_.size(); }
-  /// Events overwritten (or discarded on a zero-capacity ring).
-  [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
-
-  /// i-th retained event, oldest first.
-  [[nodiscard]] const ExchangeEvent& operator[](std::size_t i) const {
-    const std::size_t oldest = count_ < buf_.size() ? 0 : head_;
-    const std::size_t at = oldest + i;
-    return buf_[at < buf_.size() ? at : at - buf_.size()];
-  }
-
- private:
-  std::vector<ExchangeEvent> buf_;
-  std::size_t head_ = 0;
-  std::size_t count_ = 0;
-  std::uint64_t dropped_ = 0;
-};
 
 }  // namespace bsort::trace

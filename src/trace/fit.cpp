@@ -7,7 +7,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "trace/events.hpp"
+#include "trace/validate.hpp"
 
 namespace bsort::trace {
 
@@ -43,9 +43,6 @@ bool solve_inplace(int k, std::array<std::array<double, 3>, 3>& M,
 }  // namespace
 
 FitResult fit_params(const simd::Machine& m, double known_o, int elem_bytes) {
-  if (!m.tracing()) {
-    throw std::invalid_argument("fit_params: tracing is not enabled on this machine");
-  }
   const bool long_mode = m.mode() == simd::MessageMode::kLong;
   const int k = long_mode ? 3 : 2;
 
@@ -57,10 +54,8 @@ FitResult fit_params(const simd::Machine& m, double known_o, int elem_bytes) {
   std::array<double, 3> atb{};
   std::size_t rows = 0;
   for (int r = 0; r < m.nprocs(); ++r) {
-    const VpTrace& t = m.vp_trace(r);
-    for (std::size_t i = 0; i < t.size(); ++i) {
-      const ExchangeEvent& e = t[i];
-      if (e.elements == 0) continue;  // nothing transmitted, nothing charged
+    for_each_exchange(m.vp_spans(r), [&](const obs::SpanRecord& e, const PhaseDelta&) {
+      if (e.elements == 0) return;  // nothing transmitted, nothing charged
       std::array<double, 3> row{1.0, 0.0, 0.0};
       if (long_mode) {
         row[1] = static_cast<double>(e.elements - e.messages);
@@ -70,10 +65,10 @@ FitResult fit_params(const simd::Machine& m, double known_o, int elem_bytes) {
       }
       for (int a = 0; a < k; ++a) {
         for (int b = 0; b < k; ++b) ata[a][b] += row[a] * row[b];
-        atb[a] += row[a] * e.charged_us;
+        atb[a] += row[a] * e.sim_us();
       }
       ++rows;
-    }
+    });
   }
   if (rows < static_cast<std::size_t>(k)) {
     throw std::invalid_argument("fit_params: fewer trace rows than unknowns");
@@ -94,20 +89,19 @@ FitResult fit_params(const simd::Machine& m, double known_o, int elem_bytes) {
   fit.params.G = long_mode ? x[1] / static_cast<double>(elem_bytes) : 0.0;
 
   // Residual audit: the machine charges the same formulas, so on clean
-  // traces the fit should be exact to rounding.
+  // records the fit should be exact to rounding.
   for (int r = 0; r < m.nprocs(); ++r) {
-    const VpTrace& t = m.vp_trace(r);
-    for (std::size_t i = 0; i < t.size(); ++i) {
-      const ExchangeEvent& e = t[i];
-      if (e.elements == 0) continue;
+    for_each_exchange(m.vp_spans(r), [&](const obs::SpanRecord& e, const PhaseDelta&) {
+      if (e.elements == 0) return;
       const double V = static_cast<double>(e.elements);
       const double M = static_cast<double>(e.messages);
       const double pred =
           long_mode ? x[0] + x[1] * (V - M) + x[2] * (M - 1.0) : x[0] + x[1] * (V - 1.0);
-      const double denom = std::max(std::abs(e.charged_us), 1e-12);
+      const double charged = e.sim_us();
+      const double denom = std::max(std::abs(charged), 1e-12);
       fit.max_rel_residual =
-          std::max(fit.max_rel_residual, std::abs(pred - e.charged_us) / denom);
-    }
+          std::max(fit.max_rel_residual, std::abs(pred - charged) / denom);
+    });
   }
   return fit;
 }
@@ -118,8 +112,8 @@ FitResult calibrate(simd::Machine& m, double known_o, int elem_bytes) {
     throw std::invalid_argument(
         "calibrate: need >= 2 procs (>= 4 in long mode to identify g)");
   }
-  const bool was_tracing = m.tracing();
-  if (!was_tracing) m.enable_tracing(64);
+  const bool was_recording = m.profiling();
+  if (!was_recording) m.enable_profiling(64);
 
   m.run([](simd::Proc& p) {
     const auto me = static_cast<std::uint64_t>(p.rank());
@@ -151,10 +145,10 @@ FitResult calibrate(simd::Machine& m, double known_o, int elem_bytes) {
 
   try {
     FitResult fit = fit_params(m, known_o, elem_bytes);
-    if (!was_tracing) m.disable_tracing();
+    if (!was_recording) m.disable_profiling();
     return fit;
   } catch (...) {
-    if (!was_tracing) m.disable_tracing();
+    if (!was_recording) m.disable_profiling();
     throw;
   }
 }

@@ -1,8 +1,8 @@
-// Least-squares recovery of (L, o, g, G) from trace records.
+// Least-squares recovery of (L, o, g, G) from exchange records.
 //
 // Real LogP calibrations fit the model to measured micro-benchmarks
 // (e.g. [CLMY96]); this module does the same against the simulated
-// machine's traces, closing the loop: the recovered parameters can be
+// machine's recorded exchanges, closing the loop: the recovered parameters can be
 // fed straight back into loggp::choose_strategy(), so strategy
 // selection runs off MEASURED behaviour instead of a hand-entered
 // parameter table (see examples/adaptive_sort.cpp).
@@ -35,16 +35,17 @@ struct FitResult {
 };
 
 /// Fit (L, g[, G]) to every exchange record currently in the machine's
-/// trace rings, with `known_o` pinning the a = L + 2o split.  Throws
-/// std::invalid_argument when tracing is disabled, there are fewer
-/// usable rows than unknowns, or the design is singular (e.g. long mode
-/// with only single-peer exchanges, where M - 1 == 0 everywhere).
+/// span rings, with `known_o` pinning the a = L + 2o split.  Throws
+/// ConfigError when recording is disabled, and std::invalid_argument
+/// when there are fewer usable rows than unknowns or the design is
+/// singular (e.g. long mode with only single-peer exchanges, where
+/// M - 1 == 0 everywhere).
 FitResult fit_params(const simd::Machine& m, double known_o, int elem_bytes = 4);
 
 /// Run a calibration micro-benchmark on the machine (pairwise exchanges
 /// of 16/64/256/1024 keys, then all-to-all exchanges of 16/64/256 keys
-/// per peer), then fit_params() on its trace.  Enables tracing for the
-/// calibration run and restores the previous tracing state before
+/// per peer), then fit_params() on its records.  Enables recording for
+/// the calibration run and restores the previous recording state before
 /// returning.  Requires nprocs >= 2 (>= 4 in long mode).
 FitResult calibrate(simd::Machine& m, double known_o, int elem_bytes = 4);
 

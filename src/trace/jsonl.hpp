@@ -3,9 +3,12 @@
 //
 // Line 1 is a `{"type":"meta",...}` record describing the run (label,
 // algorithm, machine shape, message mode, LogGP parameters); every
-// following line is a `{"type":"exchange",...}` record — one per traced
-// exchange of one VP, oldest first, VP-major.  Rings that overflowed
-// report their drop count in the meta record (per VP).
+// following line is a `{"type":"exchange",...}` record — one per
+// recorded exchange of one VP, oldest first, VP-major.  charged_us is
+// the exchange record's simulated duration and clock_us its end; the
+// compute/pack/unpack columns sum the VP's leaf records since its
+// previous exchange record (trace::for_each_exchange).  Rings that
+// overflowed report their drop count in the meta record (per VP).
 #pragma once
 
 #include <cstdint>
@@ -24,9 +27,9 @@ struct TraceMeta {
   std::uint64_t keys_per_proc = 0;
 };
 
-/// Write the machine's (post-run) trace rings as JSONL.  The machine
-/// must have tracing enabled.  Returns the number of exchange records
-/// written.
+/// Write the exchange records of the machine's (post-run) rings as
+/// JSONL.  Throws ConfigError unless the machine has recording enabled.
+/// Returns the number of exchange records written.
 std::size_t write_jsonl(std::ostream& os, const simd::Machine& m, const TraceMeta& meta);
 
 }  // namespace bsort::trace

@@ -6,17 +6,16 @@
 
 namespace bsort::trace {
 
-MeasuredMetrics measure(const VpTrace& t) {
+MeasuredMetrics measure(const obs::VpSpans& ring) {
   MeasuredMetrics m;
-  m.dropped = t.dropped();
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    const ExchangeEvent& e = t[i];
+  m.dropped = ring.dropped();
+  for_each_exchange(ring, [&m](const obs::SpanRecord& e, const PhaseDelta&) {
     ++m.exchanges;
     if (e.remap >= 0) ++m.remaps;
     m.elements += e.elements;
     m.messages += e.messages;
-    m.charged_us += e.charged_us;
-  }
+    m.charged_us += e.sim_us();
+  });
   return m;
 }
 
@@ -71,7 +70,7 @@ ValidationReport validate_run(const simd::Machine& m, loggp::Strategy strategy,
   for (int r = 0; r < m.nprocs(); ++r) {
     VpValidation v;
     v.vp = r;
-    v.measured = measure(m.vp_trace(r));
+    v.measured = measure(m.vp_spans(r));
     v.predicted = pred.metrics;
     v.predicted_time_us = pred_time;
     v.complete = v.measured.dropped == 0;

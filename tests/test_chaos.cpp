@@ -267,7 +267,7 @@ TEST(Chaos, DefensesArmedFaultFreeRunsValidateAgainstModel) {
                             bsort::backend::make_simulated());
       machine.enable_integrity();
       machine.set_watchdog(60.0);
-      machine.enable_tracing();
+      machine.enable_profiling();
       auto keys = chaos_keys(99);
       bsort::testing::run_blocked_spmd_on(
           machine, keys, [&](simd::Proc& p, std::span<std::uint32_t> s) { c.sort(p, s); });

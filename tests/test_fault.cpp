@@ -20,6 +20,8 @@
 #include "fault/plan.hpp"
 #include "fault/retry.hpp"
 #include "simd/machine.hpp"
+#include "test_helpers.hpp"
+#include "trace/events.hpp"
 #include "util/random.hpp"
 
 namespace {
@@ -376,7 +378,7 @@ TEST(FaultInjection, CrashBecomesStructuredErrorAndMachineRecovers) {
 
 TEST(FaultInjection, StragglerChargesSimulatedTimeAndMarksTrace) {
   auto m = make_machine(2);
-  m.enable_tracing(16);
+  m.enable_profiling(16);
   fault::FaultPlan plan;
   plan.rules.push_back(
       {fault::FaultKind::kStraggler, 0, 0, /*delay_us=*/5000.0, /*real_ms=*/1.0, 0, 1});
@@ -385,10 +387,13 @@ TEST(FaultInjection, StragglerChargesSimulatedTimeAndMarksTrace) {
   EXPECT_EQ(m.faults_fired(), 1u);
   // The commit barrier propagates the victim's skew to every clock.
   EXPECT_GE(rep.makespan_us, 5000.0);
-  ASSERT_GE(m.vp_trace(0).size(), 1u);
-  EXPECT_EQ(m.vp_trace(0)[0].fault_mask & bsort::trace::kFaultStraggler,
+  const auto victim = bsort::testing::exchange_records(m.vp_spans(0));
+  const auto bystander = bsort::testing::exchange_records(m.vp_spans(1));
+  ASSERT_GE(victim.size(), 1u);
+  ASSERT_GE(bystander.size(), 1u);
+  EXPECT_EQ(victim[0].fault_mask & bsort::trace::kFaultStraggler,
             bsort::trace::kFaultStraggler);
-  EXPECT_EQ(m.vp_trace(1)[0].fault_mask, 0u);
+  EXPECT_EQ(bystander[0].fault_mask, 0u);
   m.disarm_faults();
 }
 

@@ -51,4 +51,12 @@ std::vector<std::uint32_t> run_vector_spmd_on(
   return out;
 }
 
+std::vector<obs::SpanRecord> exchange_records(const obs::VpSpans& ring) {
+  std::vector<obs::SpanRecord> out;
+  for (std::size_t i = 0; i < ring.size(); ++i) {
+    if (ring[i].kind == obs::SpanKind::kExchange) out.push_back(ring[i]);
+  }
+  return out;
+}
+
 }  // namespace bsort::testing

@@ -6,6 +6,7 @@
 #include <functional>
 #include <vector>
 
+#include "obs/spans.hpp"
 #include "simd/machine.hpp"
 
 namespace bsort::testing {
@@ -18,7 +19,7 @@ simd::RunReport run_blocked_spmd(
     const std::function<void(simd::Proc&, std::span<std::uint32_t>)>& body);
 
 /// As run_blocked_spmd but on a caller-owned machine (so tests can
-/// enable tracing and inspect vp_trace() afterwards).
+/// enable recording and inspect vp_spans() afterwards).
 simd::RunReport run_blocked_spmd_on(
     simd::Machine& machine, std::vector<std::uint32_t>& keys,
     const std::function<void(simd::Proc&, std::span<std::uint32_t>)>& body);
@@ -34,5 +35,8 @@ std::vector<std::uint32_t> run_vector_spmd(
 std::vector<std::uint32_t> run_vector_spmd_on(
     simd::Machine& machine, const std::vector<std::uint32_t>& keys, simd::RunReport& report,
     const std::function<void(simd::Proc&, std::vector<std::uint32_t>&)>& body);
+
+/// The kExchange records of one VP's ring, oldest first.
+std::vector<obs::SpanRecord> exchange_records(const obs::VpSpans& ring);
 
 }  // namespace bsort::testing

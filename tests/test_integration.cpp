@@ -118,15 +118,15 @@ TEST(Integration, ReportsHavePositivePhases) {
   for (const auto t : rep.proc_us) EXPECT_GT(t, 0.0);
 }
 
-// Every exchange a sort performs must appear in the trace with exactly
-// the counters the RunReport accumulated: per VP, the event sums equal
-// proc_comm (exchanges / elements / messages) and the charged_us sum
-// equals the transfer phase (the only phase charged at commit).  The
-// compute/pack/unpack deltas can only cover time up to the last
+// Every exchange a sort performs must appear as an exchange record with
+// exactly the counters the RunReport accumulated: per VP, the record
+// sums equal proc_comm (exchanges / elements / messages) and the charged
+// time equals the transfer phase (the only phase charged at commit).
+// The compute/pack/unpack deltas can only cover time up to the last
 // exchange, so those sums are bounded by the phase totals.
 void expect_trace_matches_report(const simd::Machine& m, const simd::RunReport& rep) {
   for (int r = 0; r < m.nprocs(); ++r) {
-    const auto meas = trace::measure(m.vp_trace(r));
+    const auto meas = trace::measure(m.vp_spans(r));
     const auto& comm = rep.proc_comm[static_cast<std::size_t>(r)];
     const auto& phases = rep.proc_phases[static_cast<std::size_t>(r)];
     ASSERT_EQ(meas.dropped, 0u) << "ring overflow on vp " << r;
@@ -136,12 +136,12 @@ void expect_trace_matches_report(const simd::Machine& m, const simd::RunReport& 
     EXPECT_NEAR(meas.charged_us, phases.transfer(), 1e-9 * (1.0 + phases.transfer()))
         << "vp " << r;
     double compute = 0, pack = 0, unpack = 0;
-    const auto& t = m.vp_trace(r);
-    for (std::size_t i = 0; i < t.size(); ++i) {
-      compute += t[i].compute_us;
-      pack += t[i].pack_us;
-      unpack += t[i].unpack_us;
-    }
+    trace::for_each_exchange(m.vp_spans(r), [&](const obs::SpanRecord&,
+                                                const trace::PhaseDelta& d) {
+      compute += d.compute_us;
+      pack += d.pack_us;
+      unpack += d.unpack_us;
+    });
     const double slack = 1e-9;
     EXPECT_LE(compute, phases.compute() + slack) << "vp " << r;
     EXPECT_LE(pack, phases.pack() + slack) << "vp " << r;
@@ -163,7 +163,7 @@ TEST(Integration, TraceSumsMatchReportForEverySort) {
   for (const auto mode : {simd::MessageMode::kShort, simd::MessageMode::kLong}) {
     for (const auto& sort : blocked_sorts) {
       simd::Machine m(P, loggp::meiko_cs2(), mode);
-      m.enable_tracing();
+      m.enable_profiling();
       auto keys = input;
       const auto rep = run_blocked_spmd_on(m, keys, sort);
       expect_trace_matches_report(m, rep);
@@ -174,7 +174,7 @@ TEST(Integration, TraceSumsMatchReportForEverySort) {
     };
     for (const auto& sort : vector_sorts) {
       simd::Machine m(P, loggp::meiko_cs2(), mode);
-      m.enable_tracing();
+      m.enable_profiling();
       simd::RunReport rep;
       run_vector_spmd_on(m, input, rep, sort);
       expect_trace_matches_report(m, rep);
@@ -186,7 +186,7 @@ TEST(Integration, SmartTraceRemapCountMatchesSchedule) {
   const int P = 16;
   const std::size_t n = 1u << 10;
   simd::Machine m(P, loggp::meiko_cs2(), simd::MessageMode::kLong);
-  m.enable_tracing();
+  m.enable_profiling();
   auto keys = util::generate_keys(n * P, util::KeyDistribution::kUniform31, 78);
   run_blocked_spmd_on(m, keys, [](simd::Proc& p, std::span<std::uint32_t> s) {
     bitonic::smart_sort(p, s);
@@ -194,14 +194,13 @@ TEST(Integration, SmartTraceRemapCountMatchesSchedule) {
   const auto expected =
       schedule::smart_remap_count(util::ilog2(n), util::ilog2(static_cast<std::uint64_t>(P)));
   for (int r = 0; r < P; ++r) {
-    EXPECT_EQ(trace::measure(m.vp_trace(r)).remaps, expected) << "vp " << r;
+    EXPECT_EQ(trace::measure(m.vp_spans(r)).remaps, expected) << "vp " << r;
     // Every annotated exchange carries its layout transition.
-    const auto& t = m.vp_trace(r);
-    for (std::size_t i = 0; i < t.size(); ++i) {
-      if (t[i].remap < 0) continue;
-      EXPECT_NE(t[i].layout_from, trace::LayoutTag::kUnknown);
-      EXPECT_NE(t[i].layout_to, trace::LayoutTag::kUnknown);
-      EXPECT_GE(t[i].group_log2, 1);
+    for (const auto& e : testing::exchange_records(m.vp_spans(r))) {
+      if (e.remap < 0) continue;
+      EXPECT_NE(e.layout_from, trace::LayoutTag::kUnknown);
+      EXPECT_NE(e.layout_to, trace::LayoutTag::kUnknown);
+      EXPECT_GE(e.group_log2, 1);
     }
   }
 }

@@ -1,6 +1,6 @@
-// The trace subsystem: ring-buffer semantics, JSONL export, the model
-// validator (measured R/V/M/time vs. the Section 3.4 predictions) and
-// the (L, o, g, G) fitter.  The validator tests include regressions
+// The trace subsystem over the machine's one recorder: exchange records
+// in the span ring, JSONL export, the model validator (measured R/V/M/
+// time vs. the Section 3.4 predictions) and the (L, o, g, G) fitter.  The validator tests include regressions
 // against the two historical closed-form bugs: the divide-before-
 // multiply truncation in cyclic_blocked_metrics at n < P, and
 // smart_metrics returning the in-regime closed forms outside the
@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
@@ -16,11 +17,14 @@
 
 #include "backend/backend.hpp"
 #include "bitonic/remap_exec.hpp"
+#include "fault/error.hpp"
 #include "bitonic/sorts.hpp"
 #include "layout/bit_layout.hpp"
 #include "loggp/choose.hpp"
 #include "loggp/cost.hpp"
 #include "loggp/params.hpp"
+#include "obs/perfetto.hpp"
+#include "obs/spans.hpp"
 #include "schedule/formulas.hpp"
 #include "simd/machine.hpp"
 #include "test_helpers.hpp"
@@ -42,39 +46,8 @@ simd::Machine sim_machine(int nprocs, loggp::Params params, simd::MessageMode mo
   return simd::Machine(nprocs, params, mode, 1.0, backend::make_simulated());
 }
 
+using testing::exchange_records;
 using testing::run_blocked_spmd_on;
-
-trace::ExchangeEvent make_event(std::uint32_t seq, std::uint64_t elements) {
-  trace::ExchangeEvent e;
-  e.seq = seq;
-  e.elements = elements;
-  return e;
-}
-
-TEST(VpTrace, OverwritesOldestWhenFull) {
-  trace::VpTrace t;
-  t.reset(4);
-  EXPECT_EQ(t.capacity(), 4u);
-  for (std::uint32_t i = 0; i < 6; ++i) t.push(make_event(i, 10 * i));
-  EXPECT_EQ(t.size(), 4u);
-  EXPECT_EQ(t.dropped(), 2u);
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    EXPECT_EQ(t[i].seq, 2u + i);  // oldest-first, events 0 and 1 lost
-    EXPECT_EQ(t[i].elements, 10u * (2 + i));
-  }
-  t.clear();
-  EXPECT_EQ(t.size(), 0u);
-  EXPECT_EQ(t.dropped(), 0u);
-  EXPECT_EQ(t.capacity(), 4u);  // clear keeps the allocation
-}
-
-TEST(VpTrace, ZeroCapacityDropsEverything) {
-  trace::VpTrace t;
-  t.reset(0);
-  t.push(make_event(0, 1));
-  EXPECT_EQ(t.size(), 0u);
-  EXPECT_EQ(t.dropped(), 1u);
-}
 
 // One pairwise exchange per VP: rank r swaps `elems` keys with rank r^1.
 void pairwise_program(simd::Proc& p, std::size_t elems) {
@@ -89,51 +62,64 @@ void pairwise_program(simd::Proc& p, std::size_t elems) {
 
 TEST(MachineTracing, RecordsOneEventPerExchange) {
   simd::Machine m = sim_machine(4, loggp::meiko_cs2(), simd::MessageMode::kLong);
-  m.enable_tracing(16);
+  m.enable_profiling(16);
   m.run([](simd::Proc& p) {
     for (int i = 0; i < 3; ++i) pairwise_program(p, 8);
   });
+  const double charge = loggp::remap_time_long(m.params(), 8, 1, 4);
   for (int r = 0; r < m.nprocs(); ++r) {
-    const auto& t = m.vp_trace(r);
+    const auto t = exchange_records(m.vp_spans(r));
     ASSERT_EQ(t.size(), 3u);
     for (std::size_t i = 0; i < t.size(); ++i) {
-      EXPECT_EQ(t[i].seq, i);
+      EXPECT_EQ(t[i].arg, static_cast<std::int32_t>(i));  // exchange ordinal
       EXPECT_EQ(t[i].remap, -1);  // unannotated
       EXPECT_EQ(t[i].elements, 8u);
       EXPECT_EQ(t[i].messages, 1u);
       EXPECT_EQ(t[i].peers, 1u);
-      EXPECT_DOUBLE_EQ(t[i].charged_us,
-                       loggp::remap_time_long(m.params(), 8, 1, 4));
+      // The record's duration is the charge (up to clock rounding).
+      EXPECT_NEAR(t[i].sim_us(), charge, 1e-9 * charge);
     }
   }
 }
 
 TEST(MachineTracing, RingsResetBetweenRunsAndOverflowIsReported) {
   simd::Machine m(2, loggp::meiko_cs2(), simd::MessageMode::kShort);
-  m.enable_tracing(4);
+  m.enable_profiling(4);
   m.run([](simd::Proc& p) {
     for (int i = 0; i < 6; ++i) pairwise_program(p, 2);
   });
-  EXPECT_EQ(m.vp_trace(0).size(), 4u);
-  EXPECT_EQ(m.vp_trace(0).dropped(), 2u);
+  // Each exchange writes a barrier-wait and an exchange record: 12
+  // records into a ring of 4.  The mixed ring drops its oldest records
+  // whatever their kind and keeps the last two exchanges whole.
+  const auto& ring = m.vp_spans(0);
+  EXPECT_EQ(ring.size(), 4u);
+  EXPECT_EQ(ring.dropped(), 8u);
+  EXPECT_EQ(ring[0].kind, obs::SpanKind::kBarrierWait);
+  EXPECT_EQ(ring[1].kind, obs::SpanKind::kExchange);
+  EXPECT_EQ(ring[1].arg, 4);
+  EXPECT_EQ(ring[2].kind, obs::SpanKind::kBarrierWait);
+  EXPECT_EQ(ring[3].kind, obs::SpanKind::kExchange);
+  EXPECT_EQ(ring[3].arg, 5);
   // An overflowed ring means partial totals: the validator must refuse.
   const auto report = trace::validate_run(m, loggp::Strategy::kBlocked, 2);
   EXPECT_FALSE(report.all_ok());
   EXPECT_FALSE(report.vps[0].complete);
+  EXPECT_EQ(report.vps[0].measured.dropped, 8u);
+  EXPECT_NE(report.summary().find("ring overflow"), std::string::npos);
 
   // The next run starts from a clean ring (same capacity).
   m.run([](simd::Proc& p) { pairwise_program(p, 2); });
-  EXPECT_EQ(m.vp_trace(0).size(), 1u);
-  EXPECT_EQ(m.vp_trace(0).dropped(), 0u);
-  EXPECT_EQ(m.vp_trace(0).capacity(), 4u);
+  EXPECT_EQ(m.vp_spans(0).size(), 2u);
+  EXPECT_EQ(m.vp_spans(0).dropped(), 0u);
+  EXPECT_EQ(m.vp_spans(0).capacity(), 4u);
 
-  m.disable_tracing();
-  EXPECT_FALSE(m.tracing());
+  m.disable_profiling();
+  EXPECT_FALSE(m.profiling());
 }
 
 TEST(MachineTracing, DisabledByDefault) {
   simd::Machine m(2, loggp::meiko_cs2(), simd::MessageMode::kLong);
-  EXPECT_FALSE(m.tracing());
+  EXPECT_FALSE(m.profiling());
   // Runs fine with no rings armed; trace_remap is a no-op.
   m.run([](simd::Proc& p) {
     p.trace_remap(1, trace::LayoutTag::kBlocked, trace::LayoutTag::kBlocked);
@@ -141,9 +127,102 @@ TEST(MachineTracing, DisabledByDefault) {
   });
 }
 
+// Before this contract the rings were empty vectors while recording was
+// off, and every reader below indexed them out of bounds in Release.
+TEST(Recording, AccessorsRejectDisarmedMachine) {
+  simd::Machine m(4, loggp::meiko_cs2(), simd::MessageMode::kLong);
+  m.run([](simd::Proc& p) { pairwise_program(p, 4); });
+  EXPECT_THROW((void)m.vp_spans(3), ConfigError);
+  EXPECT_THROW((void)m.vp_metrics(3), ConfigError);
+  std::ostringstream os;
+  EXPECT_THROW((void)trace::write_jsonl(os, m, {}), ConfigError);
+  EXPECT_TRUE(os.str().empty());  // nothing written before the refusal
+  EXPECT_THROW((void)trace::validate_run(m, loggp::Strategy::kBlocked, 4), ConfigError);
+  EXPECT_THROW(obs::write_perfetto(os, m), ConfigError);
+  EXPECT_THROW((void)trace::fit_params(m, 1.0), ConfigError);
+
+  // Armed, the ranks outside [0, P) are refused too.
+  m.enable_profiling(16);
+  m.run([](simd::Proc& p) { pairwise_program(p, 4); });
+  EXPECT_NO_THROW((void)m.vp_spans(3));
+  EXPECT_THROW((void)m.vp_spans(4), ConfigError);
+  EXPECT_THROW((void)m.vp_spans(-1), ConfigError);
+  EXPECT_THROW((void)m.vp_metrics(4), ConfigError);
+}
+
+// Every exchange a bitonic sort commits is one exchange record whose
+// payload agrees with the RunReport's independent accounting, and the
+// local time between records adds up to the phase totals.
+TEST(Recording, ExchangeRecordsMatchRunReport) {
+  const int P = 8;
+  const std::uint64_t n = 1u << 9;
+  const std::function<void(simd::Proc&, std::span<std::uint32_t>)> sorts[] = {
+      [](simd::Proc& p, std::span<std::uint32_t> s) { bitonic::blocked_merge_sort(p, s); },
+      [](simd::Proc& p, std::span<std::uint32_t> s) { bitonic::cyclic_blocked_sort(p, s); },
+      [](simd::Proc& p, std::span<std::uint32_t> s) { bitonic::smart_sort(p, s); },
+  };
+  for (const auto mode : {simd::MessageMode::kShort, simd::MessageMode::kLong}) {
+    for (const auto& sort : sorts) {
+      simd::Machine m(P, loggp::meiko_cs2(), mode);
+      m.enable_profiling(1u << 12);
+      auto keys = util::generate_keys(n * P, util::KeyDistribution::kUniform31, 5);
+      const auto rep = run_blocked_spmd_on(m, keys, sort);
+      ASSERT_TRUE(std::is_sorted(keys.begin(), keys.end()));
+      for (int r = 0; r < P; ++r) {
+        const auto& ring = m.vp_spans(r);
+        const auto& comm = rep.proc_comm[static_cast<std::size_t>(r)];
+        const auto& phases = rep.proc_phases[static_cast<std::size_t>(r)];
+        ASSERT_EQ(ring.dropped(), 0u) << "vp " << r;
+
+        std::uint64_t exchanges = 0, elements = 0, messages = 0;
+        double transfer = 0;
+        trace::PhaseDelta sum;
+        trace::for_each_exchange(ring, [&](const obs::SpanRecord& e,
+                                           const trace::PhaseDelta& d) {
+          ++exchanges;
+          elements += e.elements;
+          messages += e.messages;
+          transfer += e.sim_us();
+          sum.compute_us += d.compute_us;
+          sum.pack_us += d.pack_us;
+          sum.unpack_us += d.unpack_us;
+        });
+        EXPECT_EQ(exchanges, comm.exchanges) << "vp " << r;
+        EXPECT_EQ(elements, comm.elements_sent) << "vp " << r;
+        EXPECT_EQ(messages, comm.messages_sent) << "vp " << r;
+        EXPECT_NEAR(transfer, phases.transfer(), 1e-9 * phases.transfer()) << "vp " << r;
+
+        // The deltas cover the phases up to the last exchange record;
+        // the leaf records after it hold the rest.
+        std::size_t last = 0;
+        for (std::size_t i = 0; i < ring.size(); ++i) {
+          if (ring[i].kind == obs::SpanKind::kExchange) last = i;
+        }
+        trace::PhaseDelta tail;
+        for (std::size_t i = last + 1; i < ring.size(); ++i) {
+          const auto k = ring[i].kind;
+          if (k == obs::SpanKind::kCompute || k == obs::SpanKind::kStraggler) {
+            tail.compute_us += ring[i].sim_us();
+          } else if (k == obs::SpanKind::kPack) {
+            tail.pack_us += ring[i].sim_us();
+          } else if (k == obs::SpanKind::kUnpack) {
+            tail.unpack_us += ring[i].sim_us();
+          }
+        }
+        EXPECT_NEAR(sum.compute_us + tail.compute_us, phases.compute(),
+                    1e-9 * phases.compute()) << "vp " << r;
+        EXPECT_NEAR(sum.pack_us + tail.pack_us, phases.pack(), 1e-9 * phases.pack())
+            << "vp " << r;
+        EXPECT_NEAR(sum.unpack_us + tail.unpack_us, phases.unpack(),
+                    1e-9 * phases.unpack()) << "vp " << r;
+      }
+    }
+  }
+}
+
 TEST(Jsonl, MetaLinePlusOneLinePerEvent) {
   simd::Machine m(2, loggp::meiko_cs2(), simd::MessageMode::kLong);
-  m.enable_tracing(8);
+  m.enable_profiling(8);
   m.run([](simd::Proc& p) {
     for (int i = 0; i < 2; ++i) pairwise_program(p, 4);
   });
@@ -170,7 +249,7 @@ TEST_P(TraceValidationTest, BlockedMergeMatchesPrediction) {
   const int P = 8;
   const std::uint64_t n = 1u << 9;
   simd::Machine m = sim_machine(P, loggp::meiko_cs2(), GetParam());
-  m.enable_tracing();
+  m.enable_profiling();
   auto keys = util::generate_keys(n * P, util::KeyDistribution::kUniform31, 1);
   run_blocked_spmd_on(m, keys, [](simd::Proc& p, std::span<std::uint32_t> s) {
     bitonic::blocked_merge_sort(p, s);
@@ -183,7 +262,7 @@ TEST_P(TraceValidationTest, CyclicBlockedMatchesPrediction) {
   const int P = 8;
   const std::uint64_t n = 1u << 9;
   simd::Machine m = sim_machine(P, loggp::meiko_cs2(), GetParam());
-  m.enable_tracing();
+  m.enable_profiling();
   auto keys = util::generate_keys(n * P, util::KeyDistribution::kUniform31, 2);
   run_blocked_spmd_on(m, keys, [](simd::Proc& p, std::span<std::uint32_t> s) {
     bitonic::cyclic_blocked_sort(p, s);
@@ -196,7 +275,7 @@ TEST_P(TraceValidationTest, SmartMatchesPrediction) {
   const int P = 8;
   const std::uint64_t n = 1u << 9;  // lgP(lgP+1)/2 = 6 <= 9: usual regime
   simd::Machine m = sim_machine(P, loggp::meiko_cs2(), GetParam());
-  m.enable_tracing();
+  m.enable_profiling();
   auto keys = util::generate_keys(n * P, util::KeyDistribution::kUniform31, 3);
   run_blocked_spmd_on(m, keys, [](simd::Proc& p, std::span<std::uint32_t> s) {
     bitonic::smart_sort(p, s);
@@ -221,7 +300,7 @@ INSTANTIATE_TEST_SUITE_P(Modes, TraceValidationTest,
 TEST(TraceValidation, CatchesCyclicTruncationBugAtSmallN) {
   const std::uint64_t n = 2, P = 8, lgP = 3;
   simd::Machine m(static_cast<int>(P), loggp::meiko_cs2(), simd::MessageMode::kLong);
-  m.enable_tracing();
+  m.enable_profiling();
   m.run([&](simd::Proc& p) {
     const auto blocked = layout::BitLayout::blocked(1, 3);
     const auto cyclic = layout::BitLayout::cyclic(1, 3);
@@ -248,7 +327,7 @@ TEST(TraceValidation, CatchesCyclicTruncationBugAtSmallN) {
   // matches NO processor's actual traffic.
   std::uint64_t max_elements = 0, max_messages = 0;
   for (int r = 0; r < m.nprocs(); ++r) {
-    const auto meas = trace::measure(m.vp_trace(r));
+    const auto meas = trace::measure(m.vp_spans(r));
     EXPECT_EQ(meas.remaps, fixed.remaps);
     EXPECT_LE(meas.elements, fixed.elements);
     EXPECT_LE(meas.messages, fixed.messages);
@@ -269,7 +348,7 @@ TEST(TraceValidation, CatchesSmartClosedFormOutOfRegime) {
   const std::uint64_t n = 8, P = 8, lgP = 3;
   simd::Machine m = sim_machine(static_cast<int>(P), loggp::meiko_cs2(),
                                 simd::MessageMode::kLong);
-  m.enable_tracing();
+  m.enable_profiling();
   auto keys = util::generate_keys(n * P, util::KeyDistribution::kUniform31, 4);
   run_blocked_spmd_on(m, keys, [](simd::Proc& p, std::span<std::uint32_t> s) {
     bitonic::smart_sort(p, s);
@@ -283,7 +362,7 @@ TEST(TraceValidation, CatchesSmartClosedFormOutOfRegime) {
   const auto report = trace::validate_run(m, loggp::Strategy::kSmart, n);
   EXPECT_TRUE(report.all_ok()) << report.summary();
   for (int r = 0; r < m.nprocs(); ++r) {
-    EXPECT_NE(trace::measure(m.vp_trace(r)).remaps, old_remaps);
+    EXPECT_NE(trace::measure(m.vp_spans(r)).remaps, old_remaps);
   }
 }
 
@@ -293,7 +372,7 @@ TEST(Fit, RecoversParametersFromLongModeCalibration) {
   const auto truth = loggp::meiko_cs2();
   simd::Machine m = sim_machine(8, truth, simd::MessageMode::kLong);
   const auto fit = trace::calibrate(m, truth.o);
-  EXPECT_FALSE(m.tracing());  // restored
+  EXPECT_FALSE(m.profiling());  // restored
   EXPECT_TRUE(fit.long_mode);
   EXPECT_GE(fit.events, 3u);
   // The machine charges the exact formulas, so recovery is essentially
@@ -331,8 +410,8 @@ TEST(Fit, FittedParametersReproduceStrategyChoice) {
 
 TEST(Fit, ThrowsWithoutTracingOrEnoughRows) {
   simd::Machine m(2, loggp::meiko_cs2(), simd::MessageMode::kLong);
-  EXPECT_THROW((void)trace::fit_params(m, 1.0), std::invalid_argument);
-  m.enable_tracing(8);
+  EXPECT_THROW((void)trace::fit_params(m, 1.0), ConfigError);  // not recording
+  m.enable_profiling(8);
   EXPECT_THROW((void)trace::fit_params(m, 1.0), std::invalid_argument);  // no rows
   // Long mode needs two distinct message counts: P = 2 pairwise-only
   // traces leave the g column identically zero.

@@ -203,5 +203,73 @@ class PerfettoTest(unittest.TestCase):
         self.assertTrue(any("empty" in e for e in errs))
 
 
+TRACE_META = {"type": "meta", "label": "t", "algorithm": "smart",
+              "keys_per_proc": 4, "nprocs": 2, "mode": "long",
+              "dropped": [0, 0]}
+
+
+def exchange(vp, seq, remap=-1, elements=4, messages=1, charged_us=3.5):
+    return {"type": "exchange", "vp": vp, "seq": seq, "remap": remap,
+            "group_log2": 1 if remap >= 0 else -1,
+            "layout_from": "blocked", "layout_to": "cyclic", "peers": 1,
+            "elements": elements, "messages": messages,
+            "charged_us": charged_us, "compute_us": 1.0, "pack_us": 0.5,
+            "unpack_us": 0.5, "clock_us": 10.0, "faults": 0}
+
+
+TRACE_GOOD = [TRACE_META, exchange(0, 0, 0), exchange(0, 1),
+              exchange(0, 2, 1), exchange(1, 0, 0), exchange(1, 1),
+              exchange(1, 2, 1)]
+
+
+class TraceTest(unittest.TestCase):
+    def test_good_trace_passes(self):
+        self.assertEqual(validate_obs.validate_trace(jl(*TRACE_GOOD)), [])
+
+    def test_each_meta_starts_a_new_run(self):
+        # bench_comm_metrics appends one run per strategy to one file.
+        lines = jl(*TRACE_GOOD, *TRACE_GOOD)
+        self.assertEqual(validate_obs.validate_trace(lines), [])
+
+    def test_missing_meta_fails(self):
+        errs = validate_obs.validate_trace(jl(*TRACE_GOOD[1:]))
+        self.assertTrue(any("first line" in e for e in errs))
+
+    def test_dropped_records_fail(self):
+        lines = jl(dict(TRACE_META, dropped=[0, 3]), *TRACE_GOOD[1:])
+        errs = validate_obs.validate_trace(lines)
+        self.assertTrue(any("overflow" in e for e in errs))
+
+    def test_foreign_line_type_fails(self):
+        lines = jl(*TRACE_GOOD, {"type": "span", "vp": 0})
+        errs = validate_obs.validate_trace(lines)
+        self.assertTrue(any("type must be" in e for e in errs))
+
+    def test_seq_gap_fails(self):
+        lines = jl(TRACE_META, exchange(0, 0), exchange(0, 2))
+        errs = validate_obs.validate_trace(lines)
+        self.assertTrue(any("seq 2, expected 1" in e for e in errs))
+
+    def test_remap_gap_fails(self):
+        lines = jl(TRACE_META, exchange(0, 0, 0), exchange(0, 1, 2))
+        errs = validate_obs.validate_trace(lines)
+        self.assertTrue(any("not contiguous" in e for e in errs))
+
+    def test_more_messages_than_elements_fails(self):
+        lines = jl(TRACE_META, exchange(0, 0, elements=2, messages=3))
+        errs = validate_obs.validate_trace(lines)
+        self.assertTrue(any("messages 3 > elements 2" in e for e in errs))
+
+    def test_negative_charge_fails(self):
+        lines = jl(TRACE_META, exchange(0, 0, charged_us=-1.0))
+        errs = validate_obs.validate_trace(lines)
+        self.assertTrue(any("negative charged_us" in e for e in errs))
+
+    def test_vp_outside_machine_fails(self):
+        lines = jl(TRACE_META, exchange(2, 0))
+        errs = validate_obs.validate_trace(lines)
+        self.assertTrue(any("outside [0, 2)" in e for e in errs))
+
+
 if __name__ == "__main__":
     unittest.main()

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Schema validator for the SortService observability artifacts.
+"""Schema validator for the observability artifacts.
 
 Validates any subset of the four artifact kinds bench_service_load's
 --obs-prefix demo (and a production SortService) produces:
@@ -8,6 +8,10 @@ Validates any subset of the four artifact kinds bench_service_load's
   * telemetry time-series   (bsort-telemetry-v1 JSONL, obs/telemetry.cpp)
   * Prometheus exposition   (text format, obs/telemetry.cpp)
   * Perfetto service trace  (Chrome trace-event JSON, obs/perfetto.cpp)
+
+plus the machine's exchange trace (trace/jsonl.cpp; bench_comm_metrics
+writes TRACE_comm_metrics.jsonl), one or more runs each opened by a
+meta line.
 
 The checks are STRUCTURAL (field presence, types, cross-line
 invariants: monotonic seq/t_s, counter delta arithmetic, quantile
@@ -18,6 +22,7 @@ named artifact validates; 1 = any violation (all are printed).
 Usage:
   validate_obs.py [--flight F.jsonl] [--telemetry T.jsonl]
                   [--prom M.prom] [--perfetto P.json] [--require-flow]
+                  [--trace X.jsonl]
 
 --require-flow additionally demands at least one complete flow chain
 (s -> ... -> f with a shared id) in the Perfetto trace — the
@@ -192,6 +197,79 @@ def validate_prom(lines):
     return errors
 
 
+def validate_trace(lines):
+    """Validate an exchange-trace JSONL; returns error strings.
+
+    Every run starts with a meta line whose per-VP `dropped` counts are
+    all 0 (an overflowed ring means partial totals).  The exchange lines
+    of a run number each VP's exchanges 0, 1, 2, ... (seq) and its
+    annotated remaps likewise (remap >= 0); M never exceeds V and no
+    charge is negative.
+    """
+    errors = []
+    rows = []
+    for i, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            rows.append((i, json.loads(line)))
+        except ValueError as e:
+            errors.append(f"trace:{i}: not JSON: {e}")
+    if not rows:
+        return errors + ["trace: empty file (meta line required)"]
+    if rows[0][1].get("type") != "meta":
+        errors.append("trace:1: first line must be a meta record")
+
+    nprocs = None
+    next_seq = {}
+    next_remap = {}
+    for i, r in rows:
+        kind = r.get("type")
+        if kind == "meta":
+            nprocs = r.get("nprocs")
+            dropped = r.get("dropped")
+            if not isinstance(nprocs, int) or nprocs < 1:
+                errors.append(f"trace:{i}: meta.nprocs must be a positive int")
+                nprocs = None
+            if not isinstance(dropped, list) or len(dropped) != nprocs:
+                errors.append(f"trace:{i}: meta.dropped must list one count "
+                              f"per VP")
+            elif any(d != 0 for d in dropped):
+                errors.append(f"trace:{i}: ring overflow, dropped={dropped}")
+            next_seq, next_remap = {}, {}
+            continue
+        if kind != "exchange":
+            errors.append(f"trace:{i}: type must be 'meta' or 'exchange', "
+                          f"got {kind!r}")
+            continue
+        missing = [k for k in ("vp", "seq", "remap", "elements", "messages",
+                               "charged_us") if not _num(r.get(k))]
+        if missing:
+            errors.append(f"trace:{i}: missing or non-numeric {missing}")
+            continue
+        vp = r["vp"]
+        if nprocs is not None and not 0 <= vp < nprocs:
+            errors.append(f"trace:{i}: vp {vp} outside [0, {nprocs})")
+        want = next_seq.get(vp, 0)
+        if r["seq"] != want:
+            errors.append(f"trace:{i}: vp {vp} seq {r['seq']}, expected "
+                          f"{want}")
+        next_seq[vp] = r["seq"] + 1
+        if r["remap"] >= 0:
+            want = next_remap.get(vp, 0)
+            if r["remap"] != want:
+                errors.append(f"trace:{i}: vp {vp} remap {r['remap']}, "
+                              f"expected {want} (ordinals not contiguous)")
+            next_remap[vp] = r["remap"] + 1
+        if r["messages"] > r["elements"]:
+            errors.append(f"trace:{i}: messages {r['messages']} > elements "
+                          f"{r['elements']}")
+        if r["charged_us"] < 0:
+            errors.append(f"trace:{i}: negative charged_us "
+                          f"{r['charged_us']}")
+    return errors
+
+
 def validate_perfetto(doc, require_flow=False):
     """Validate a Chrome trace-event document; returns error strings."""
     errors = []
@@ -264,6 +342,7 @@ def main(argv=None):
     ap.add_argument("--prom")
     ap.add_argument("--perfetto")
     ap.add_argument("--require-flow", action="store_true")
+    ap.add_argument("--trace")
     args = ap.parse_args(argv)
 
     errors = []
@@ -289,6 +368,10 @@ def main(argv=None):
                 errors.append(f"perfetto: not JSON: {e}")
         if doc is not None:
             errors += validate_perfetto(doc, args.require_flow)
+        checked += 1
+    if args.trace:
+        with open(args.trace) as f:
+            errors += validate_trace(f.readlines())
         checked += 1
 
     if checked == 0:
