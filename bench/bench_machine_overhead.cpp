@@ -391,35 +391,47 @@ int main(int argc, char** argv) {
   }
 
   // ---- warm pooled sort call: heap allocations ------------------------
-  // One smart parallel_sort_on call on a warm pooled Machine (P=4, 2^12
-  // keys per VP).  Not zero: every call allocates its own data buffers
-  // and workspaces.  The mask plans come from the process-wide memo, so
-  // a warm call builds none of their tables.  Minimum over five calls
-  // after a warm-up call, so a stray allocation cannot move the count.
+  // One parallel_sort_on call on a warm pooled Machine (P=4, 2^12 keys
+  // per VP), for smart and for the two comparator sorts.  Not zero: every
+  // call allocates small per-call tables (and smart its n-key buffers).
+  // The mask plans come from the process-wide memo, so a warm smart call
+  // builds none of their tables; radix and sample sort keep their n-key
+  // workspace per VP thread, so a warm call allocates none.  Minimum
+  // over five calls after a warm-up call, so a stray allocation cannot
+  // move the count.
   {
     const int P = 4;
     simd::Machine m(P, loggp::meiko_cs2(), simd::MessageMode::kLong);
-    api::Config cfg;
-    cfg.nprocs = P;
-    cfg.algorithm = api::Algorithm::kSmartBitonic;
     const auto keys = util::generate_keys(std::size_t{1} << 14,
                                           util::KeyDistribution::kUniform31, 42);
-    std::uint64_t best = 0;
+    const auto warm_call_allocs = [&](api::Algorithm algorithm, bool& sorted) {
+      api::Config cfg;
+      cfg.nprocs = P;
+      cfg.algorithm = algorithm;
+      std::uint64_t best = 0;
+      for (int rep = 0; rep < 6; ++rep) {
+        auto work = keys;
+        const std::uint64_t a0 = g_allocs.load();
+        sorted = api::parallel_sort_on(m, work, cfg).sorted && sorted;
+        const std::uint64_t allocs = g_allocs.load() - a0;
+        if (rep == 1 || (rep > 1 && allocs < best)) best = allocs;
+      }
+      return best;
+    };
     bool sorted = true;
-    for (int rep = 0; rep < 6; ++rep) {
-      auto work = keys;
-      const std::uint64_t a0 = g_allocs.load();
-      sorted = api::parallel_sort_on(m, work, cfg).sorted && sorted;
-      const std::uint64_t allocs = g_allocs.load() - a0;
-      if (rep == 1 || (rep > 1 && allocs < best)) best = allocs;
-    }
+    const std::uint64_t smart = warm_call_allocs(api::Algorithm::kSmartBitonic, sorted);
+    const std::uint64_t radix = warm_call_allocs(api::Algorithm::kParallelRadix, sorted);
+    const std::uint64_t sample = warm_call_allocs(api::Algorithm::kSampleSort, sorted);
     if (!sorted) {
       std::cerr << "ERROR: unsorted output in the pooled-call audit\n";
       return 1;
     }
     std::cout << "  \"pooled_call\": {\"nprocs\": " << P << ", \"keys_per_proc\": " << (1 << 12)
-              << ", \"heap_allocations\": " << best << "},\n";
-    report.add_count("pooled_call/heap_allocations", static_cast<double>(best));
+              << ", \"heap_allocations\": " << smart << ", \"radix_heap_allocations\": " << radix
+              << ", \"sample_heap_allocations\": " << sample << "},\n";
+    report.add_count("pooled_call/heap_allocations", static_cast<double>(smart));
+    report.add_count("pooled_call/radix_heap_allocations", static_cast<double>(radix));
+    report.add_count("pooled_call/sample_heap_allocations", static_cast<double>(sample));
   }
 
   // ---- flight-recorder + service-metrics allocation audit -------------

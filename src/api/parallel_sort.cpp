@@ -238,25 +238,10 @@ BatchOutcome run_batch_on(simd::Machine& machine,
     }
   }
 
-  const bool vector_based = config.algorithm == Algorithm::kParallelRadix ||
-                            config.algorithm == Algorithm::kSampleSort;
-  // Vector-based sorts (sample sort's partition sizes vary): per-item,
-  // per-VP slices, gathered back after the run.
-  std::vector<std::vector<std::vector<std::uint32_t>>> slices;
-  if (vector_based) {
-    slices.resize(items.size());
-    for (std::size_t it = 0; it < items.size(); ++it) {
-      const auto& keys = *items[it];
-      if (keys.empty() || local[it]) continue;
-      const std::size_t n = keys.size() / P;
-      slices[it].resize(P);
-      for (std::size_t r = 0; r < P; ++r) {
-        slices[it][r].assign(
-            keys.begin() + static_cast<std::ptrdiff_t>(r * n),
-            keys.begin() + static_cast<std::ptrdiff_t>((r + 1) * n));
-      }
-    }
-  }
+  // Sample sort's parts vary in size: part_sizes[it * P + r] is the size
+  // of the part VP r leaves in item `it`, published by the VPs.
+  std::vector<std::size_t> part_sizes;
+  if (config.algorithm == Algorithm::kSampleSort) part_sizes.assign(items.size() * P, 0);
 
   // Which request was a stuck VP serving?  Rank r runs its own local
   // items plus every scattered item; when those carry exactly one
@@ -297,7 +282,9 @@ BatchOutcome run_batch_on(simd::Machine& machine,
 
   BatchOutcome out;
   const auto run_program = [&](simd::Proc& p) {
-    std::vector<std::uint32_t> scratch;  // radix workspace, reused per VP
+    // Local-sort / radix / sample workspace: one per VP thread, so it
+    // persists across the runs of a pooled machine.
+    thread_local std::vector<std::uint32_t> scratch;
     for (std::size_t it = 0; it < items.size(); ++it) {
       if (it > 0 && superstep[it] != superstep[it - 1]) {
         p.barrier();  // superstep boundary
@@ -313,38 +300,33 @@ BatchOutcome run_batch_on(simd::Machine& machine,
         continue;
       }
       const std::size_t n = keys.size() / P;
-      if (vector_based) {
-        auto& mine = slices[it][static_cast<std::size_t>(p.rank())];
-        if (config.algorithm == Algorithm::kParallelRadix) {
-          psort::parallel_radix_sort(p, mine);
-        } else {
-          psort::parallel_sample_sort(p, mine);
-        }
-        check_part(it, p, mine);
-        continue;
-      }
-      std::span<std::uint32_t> slice(
-          keys.data() + static_cast<std::size_t>(p.rank()) * n, n);
+      std::span<std::uint32_t> part(keys.data() + static_cast<std::size_t>(p.rank()) * n, n);
       switch (config.algorithm) {
         case Algorithm::kSmartBitonic:
-          bitonic::smart_sort(p, slice);
+          bitonic::smart_sort(p, part);
           break;
         case Algorithm::kCyclicBlockedBitonic:
-          bitonic::cyclic_blocked_sort(p, slice);
+          bitonic::cyclic_blocked_sort(p, part);
           break;
         case Algorithm::kBlockedMergeBitonic:
-          bitonic::blocked_merge_sort(p, slice);
+          bitonic::blocked_merge_sort(p, part);
           break;
         case Algorithm::kNaiveBitonic:
-          bitonic::naive_blocked_sort(p, slice);
+          bitonic::naive_blocked_sort(p, part);
           break;
         case Algorithm::kColumnSort:
-          psort::column_sort(p, slice);
+          psort::column_sort(p, part);
           break;
-        default:
+        case Algorithm::kParallelRadix:
+          psort::parallel_radix_sort(p, part, scratch);
+          break;
+        case Algorithm::kSampleSort:
+          // Parts vary in size: VP r's part is not its input block.
+          part = psort::parallel_sample_sort(
+              p, keys, std::span<std::size_t>(part_sizes).subspan(it * P, P), scratch);
           break;
       }
-      check_part(it, p, slice);
+      check_part(it, p, part);
     }
   };
   if (config.batch_item_ids == nullptr) {
@@ -354,14 +336,6 @@ BatchOutcome run_batch_on(simd::Machine& machine,
       out.report = machine.run(run_program);
     } catch (const BarrierTimeout& e) {
       throw annotate_owners(e);
-    }
-  }
-  if (vector_based) {
-    for (std::size_t it = 0; it < items.size(); ++it) {
-      auto& keys = *items[it];
-      if (keys.empty() || local[it]) continue;
-      keys.clear();
-      for (const auto& s : slices[it]) keys.insert(keys.end(), s.begin(), s.end());
     }
   }
   out.faults_fired = machine.faults_fired();
@@ -379,14 +353,15 @@ BatchOutcome run_batch_on(simd::Machine& machine,
       out.sorted[it] = part_sorted[it * P + owner[it]] != 0;
     } else {
       // Every part sorted, and each non-empty part starts no lower than
-      // the last non-empty part before it (sample and radix parts vary
-      // in length and may be empty).
-      const std::size_t n = keys.size() / P;
+      // the last non-empty part before it (sample sort's parts vary in
+      // length and may be empty).
       bool ok = true;
       std::span<const std::uint32_t> prev;
+      std::size_t at = 0;
       for (std::size_t r = 0; r < P && ok; ++r) {
-        const auto part = vector_based ? std::span<const std::uint32_t>(slices[it][r])
-                                       : std::span<const std::uint32_t>(keys).subspan(r * n, n);
+        const std::size_t len = part_sizes.empty() ? keys.size() / P : part_sizes[it * P + r];
+        const auto part = std::span<const std::uint32_t>(keys).subspan(at, len);
+        at += len;
         ok = part_sorted[it * P + r] != 0 &&
              (part.empty() || prev.empty() || prev.back() <= part.front());
         if (!part.empty()) prev = part;

@@ -1,9 +1,11 @@
 #include <algorithm>
 #include <array>
-#include <cassert>
 #include <numeric>
+#include <sstream>
 #include <vector>
 
+#include "fault/error.hpp"
+#include "localsort/radix_sort.hpp"
 #include "obs/profile.hpp"
 #include "psort/psort.hpp"
 #include "util/bits.hpp"
@@ -12,62 +14,81 @@ namespace bsort::psort {
 
 namespace {
 constexpr int kDigitBits = 8;
-constexpr int kBuckets = 1 << kDigitBits;
+constexpr std::size_t kBuckets = std::size_t{1} << kDigitBits;
 constexpr int kPasses = 4;  // 31-bit keys
+
+/// A received message must carry exactly what the histograms assign to
+/// it; anything else was damaged in flight (caught here even with
+/// integrity checking off, before a copy could read past the message).
+void check_message(const simd::Proc& p, std::uint64_t src, std::size_t got,
+                   std::size_t expected, const char* what) {
+  if (got == expected) return;
+  std::ostringstream os;
+  os << "radix sort: " << what << " from vp " << src << " is " << got << ", expected "
+     << expected;
+  throw ExchangeError(os.str(),
+                      {p.rank(), static_cast<std::int64_t>(p.comm().exchanges) - 1, -1},
+                      static_cast<std::int64_t>(src), static_cast<std::int64_t>(src));
+}
 }  // namespace
 
-void parallel_radix_sort(simd::Proc& p, std::vector<std::uint32_t>& keys) {
+void parallel_radix_sort(simd::Proc& p, std::span<std::uint32_t> keys,
+                         std::vector<std::uint32_t>& scratch) {
   const auto P = static_cast<std::uint64_t>(p.nprocs());
   const auto me = static_cast<std::uint64_t>(p.rank());
   const std::uint64_t n = keys.size();
   if (P == 1) {
-    p.timed(simd::Phase::kCompute, [&] {
-      std::vector<std::uint32_t> scratch(n);
-      for (int pass = 0; pass < kPasses; ++pass) {
-        // Delegate to a simple local LSD pass for the P=1 case.
-        const int shift = pass * kDigitBits;
-        std::array<std::size_t, kBuckets> count{};
-        for (auto k : keys) ++count[(k >> shift) & (kBuckets - 1)];
-        std::size_t off = 0;
-        for (auto& c : count) {
-          const std::size_t x = c;
-          c = off;
-          off += x;
-        }
-        for (auto k : keys) scratch[count[(k >> shift) & (kBuckets - 1)]++] = k;
-        keys.swap(scratch);
-      }
-    });
+    p.timed(simd::Phase::kCompute, [&] { localsort::radix_sort(keys, scratch); });
     return;
   }
 
+  // `stable`: this VP's keys, stably partitioned by the pass's digit.
+  scratch.resize(n);
+  const std::span<std::uint32_t> stable(scratch.data(), n);
   std::vector<std::uint64_t> all_peers(P);
   std::iota(all_peers.begin(), all_peers.end(), 0);
-  std::vector<std::uint32_t> stable(n);
-  std::vector<std::uint32_t> next(n);
-
-  // Buffers hoisted out of the pass loop so steady-state passes reuse
-  // capacity: exchange arenas live inside the Machine, and everything
-  // the algorithm itself needs is allocated once here.
   const std::vector<std::size_t> hist_sizes(P, kBuckets);
   std::vector<std::uint32_t> hist_flat(P * kBuckets);  // hist_flat[s*kBuckets+b]
   std::vector<std::size_t> data_sizes(P);
-  std::vector<std::uint64_t> bucket_start(kBuckets + 1, 0);
-  std::vector<std::uint64_t> my_prefix(kBuckets, 0);  // keys of bucket b on procs < me
-  std::vector<std::size_t> cursor(P, 0);
+  std::vector<std::size_t> cursor(P);
+  std::vector<std::uint32_t*> slots(P);
+  std::vector<std::span<const std::uint32_t>> views(P);
+  std::array<std::uint64_t, kBuckets + 1> bucket_start{};
+  std::array<std::uint64_t, kBuckets> my_prefix{};  // keys of bucket b on procs < me
+
+  // Walks this VP's part of each bucket as pieces that each stay inside
+  // one destination: walking `stable` (bucket-major, locally stable)
+  // visits strictly increasing global indices, so bucket b's segment
+  // [g, g+c) splits across consecutive n-sized destination blocks.
+  std::array<std::uint32_t, kBuckets> count{};
+  const auto for_each_piece = [&](auto&& piece) {
+    std::size_t idx = 0;
+    for (std::size_t b = 0; b < kBuckets; ++b) {
+      std::uint64_t g = bucket_start[b] + my_prefix[b];
+      std::uint64_t c = count[b];
+      while (c > 0) {
+        const std::uint64_t d = g / n;
+        const std::uint64_t take = std::min(c, (d + 1) * n - g);
+        piece(d, idx, take);
+        g += take;
+        idx += take;
+        c -= take;
+      }
+    }
+  };
 
   for (int pass = 0; pass < kPasses; ++pass) {
     obs::ScopedSpan pass_span(p, obs::SpanKind::kStage, pass);
     const int shift = pass * kDigitBits;
     // Local histogram + stable local partition by digit.
-    std::array<std::uint32_t, kBuckets> count{};
     p.timed(simd::Phase::kCompute, [&] {
+      count.fill(0);
       for (const auto k : keys) ++count[(k >> shift) & (kBuckets - 1)];
       std::array<std::uint32_t, kBuckets> offset{};
       std::uint32_t off = 0;
-      for (int b = 0; b < kBuckets; ++b) {
-        offset[static_cast<std::size_t>(b)] = off;
-        off += count[static_cast<std::size_t>(b)];
+      for (std::size_t b = 0; b < kBuckets; ++b) {
+        offset[b] = off;
+        off += count[b];
       }
       for (const auto k : keys) stable[offset[(k >> shift) & (kBuckets - 1)]++] = k;
     });
@@ -77,8 +98,7 @@ void parallel_radix_sort(simd::Proc& p, std::vector<std::uint32_t>& keys) {
     p.open_exchange(all_peers, hist_sizes, all_peers);
     p.timed(simd::Phase::kPack, [&] {
       for (std::uint64_t d = 0; d < P; ++d) {
-        auto slot = p.send_slot(d);
-        std::copy(count.begin(), count.end(), slot.begin());
+        std::copy(count.begin(), count.end(), p.send_slot(d).begin());
       }
     });
     p.commit_exchange();
@@ -87,43 +107,36 @@ void parallel_radix_sort(simd::Proc& p, std::vector<std::uint32_t>& keys) {
     // after its open_exchange().
     for (std::uint64_t s = 0; s < P; ++s) {
       const auto v = p.recv_view(s);
-      assert(v.size() == static_cast<std::size_t>(kBuckets));
+      check_message(p, s, v.size(), kBuckets, "histogram size");
       std::copy(v.begin(), v.end(), hist_flat.begin() + static_cast<std::ptrdiff_t>(s * kBuckets));
     }
 
-    // Global bucket starts and per-source prefixes.
+    // Global bucket starts and per-source prefixes.  Every VP holds n
+    // keys, so each histogram sums to n; one that does not would send
+    // keys past the last destination.
     p.timed(simd::Phase::kCompute, [&] {
-      std::fill(my_prefix.begin(), my_prefix.end(), 0);
-      for (int b = 0; b < kBuckets; ++b) {
+      for (std::uint64_t s = 0; s < P; ++s) {
+        const auto h = hist_flat.begin() + static_cast<std::ptrdiff_t>(s * kBuckets);
+        check_message(p, s, std::accumulate(h, h + kBuckets, std::size_t{0}), n,
+                      "key count in the histogram");
+      }
+      my_prefix.fill(0);
+      for (std::size_t b = 0; b < kBuckets; ++b) {
         std::uint64_t total = 0;
         for (std::uint64_t s = 0; s < P; ++s) {
-          const std::uint64_t h = hist_flat[s * kBuckets + static_cast<std::uint64_t>(b)];
-          if (s < me) my_prefix[static_cast<std::size_t>(b)] += h;
+          const std::uint64_t h = hist_flat[s * kBuckets + b];
+          if (s < me) my_prefix[b] += h;
           total += h;
         }
-        bucket_start[static_cast<std::size_t>(b) + 1] =
-            bucket_start[static_cast<std::size_t>(b)] + total;
+        bucket_start[b + 1] = bucket_start[b] + total;
       }
     });
 
-    // Per-destination message sizes: walking `stable` (bucket-major,
-    // locally stable) visits strictly increasing global destination
-    // indices, so each bucket's segment [g, g+c) splits across
-    // consecutive n-sized destination blocks.
     p.timed(simd::Phase::kPack, [&] {
       std::fill(data_sizes.begin(), data_sizes.end(), 0);
-      for (int b = 0; b < kBuckets; ++b) {
-        std::uint64_t g = bucket_start[static_cast<std::size_t>(b)] +
-                          my_prefix[static_cast<std::size_t>(b)];
-        std::uint64_t c = count[static_cast<std::size_t>(b)];
-        while (c > 0) {
-          const std::uint64_t d = g / n;
-          const std::uint64_t take = std::min(c, (d + 1) * n - g);
-          data_sizes[d] += take;
-          g += take;
-          c -= take;
-        }
-      }
+      for_each_piece([&](std::uint64_t d, std::size_t, std::uint64_t take) {
+        data_sizes[d] += take;
+      });
     });
 
     // The data redistribution is this pass's "remap": a machine-wide
@@ -131,47 +144,54 @@ void parallel_radix_sort(simd::Proc& p, std::vector<std::uint32_t>& keys) {
     p.trace_remap(util::ilog2(P), trace::LayoutTag::kOther, trace::LayoutTag::kOther);
     p.open_exchange(all_peers, data_sizes, all_peers);
     p.timed(simd::Phase::kPack, [&] {
+      for (std::uint64_t d = 0; d < P; ++d) slots[d] = p.send_slot(d).data();
       std::fill(cursor.begin(), cursor.end(), 0);
-      std::size_t idx = 0;
-      for (int b = 0; b < kBuckets; ++b) {
-        std::uint64_t g = bucket_start[static_cast<std::size_t>(b)] +
-                          my_prefix[static_cast<std::size_t>(b)];
-        const std::uint32_t c = count[static_cast<std::size_t>(b)];
-        for (std::uint32_t q = 0; q < c; ++q, ++g, ++idx) {
-          const std::uint64_t d = g / n;
-          p.send_slot(d)[cursor[d]++] = stable[idx];
-        }
-      }
+      for_each_piece([&](std::uint64_t d, std::size_t idx, std::uint64_t take) {
+        std::copy_n(stable.begin() + static_cast<std::ptrdiff_t>(idx), take,
+                    slots[d] + cursor[d]);
+        cursor[d] += take;
+      });
     });
     p.commit_exchange();
 
-    // Placement: for each (bucket, source) segment that intersects my
-    // global range, consume the source's message sequentially (messages
-    // arrive ordered by increasing global index).  The self message is
-    // just recv_view(me).
+    // Placement: every (bucket, source) segment that intersects my
+    // global range is one run of the source's message (messages arrive
+    // ordered by increasing global index).  The self message is just
+    // recv_view(me).  `keys` was fully consumed into `stable` above, so
+    // the runs land straight in it.
     p.timed(simd::Phase::kUnpack, [&] {
       const std::uint64_t lo = me * n;
       const std::uint64_t hi = lo + n;
-      std::fill(cursor.begin(), cursor.end(), 0);
-      for (int b = 0; b < kBuckets; ++b) {
-        std::uint64_t seg = bucket_start[static_cast<std::size_t>(b)];
-        for (std::uint64_t s = 0; s < P; ++s) {
-          const std::uint64_t cnt = hist_flat[s * kBuckets + static_cast<std::uint64_t>(b)];
-          const std::uint64_t seg_lo = seg;
-          const std::uint64_t seg_hi = seg + cnt;
-          seg = seg_hi;
-          const std::uint64_t from = std::max(seg_lo, lo);
-          const std::uint64_t to = std::min(seg_hi, hi);
-          if (from >= to) continue;
-          const auto msg = p.recv_view(s);
-          for (std::uint64_t g = from; g < to; ++g) {
-            next[g - lo] = msg[cursor[s]++];
+      const auto for_each_segment = [&](auto&& segment) {
+        for (std::size_t b = 0; b < kBuckets; ++b) {
+          std::uint64_t seg = bucket_start[b];
+          for (std::uint64_t s = 0; s < P; ++s) {
+            const std::uint64_t from = std::max(seg, lo);
+            seg += hist_flat[s * kBuckets + b];
+            const std::uint64_t to = std::min(seg, hi);
+            if (from < to) segment(s, from - lo, to - from);
           }
         }
+      };
+      std::fill(cursor.begin(), cursor.end(), 0);
+      for_each_segment([&](std::uint64_t s, std::uint64_t, std::uint64_t len) { cursor[s] += len; });
+      for (std::uint64_t s = 0; s < P; ++s) {
+        views[s] = p.recv_view(s);
+        check_message(p, s, views[s].size(), cursor[s], "key message size");
       }
-      keys.swap(next);
+      std::fill(cursor.begin(), cursor.end(), 0);
+      for_each_segment([&](std::uint64_t s, std::uint64_t at, std::uint64_t len) {
+        std::copy_n(views[s].begin() + static_cast<std::ptrdiff_t>(cursor[s]), len,
+                    keys.begin() + static_cast<std::ptrdiff_t>(at));
+        cursor[s] += len;
+      });
     });
   }
+}
+
+void parallel_radix_sort(simd::Proc& p, std::vector<std::uint32_t>& keys) {
+  std::vector<std::uint32_t> scratch;
+  parallel_radix_sort(p, std::span<std::uint32_t>(keys), scratch);
 }
 
 }  // namespace bsort::psort

@@ -1,8 +1,9 @@
 #include <algorithm>
-#include <cassert>
 #include <numeric>
+#include <sstream>
 #include <vector>
 
+#include "fault/error.hpp"
 #include "localsort/pway_merge.hpp"
 #include "localsort/radix_sort.hpp"
 #include "obs/profile.hpp"
@@ -11,17 +12,21 @@
 
 namespace bsort::psort {
 
-void parallel_sample_sort(simd::Proc& p, std::vector<std::uint32_t>& keys, int oversample) {
+namespace {
+
+/// Phases 1-3: sort `keys` in place, derive the splitters from an
+/// allgathered sample, and send each splitter-delimited segment of the
+/// sorted keys to its owner.  Afterwards recv_view(src) is the sorted run
+/// src sent here (nothing is exchanged when P == 1).
+void sort_and_partition(simd::Proc& p, std::span<std::uint32_t> keys, int oversample,
+                        std::vector<std::uint32_t>& scratch) {
   const auto P = static_cast<std::uint64_t>(p.nprocs());
   const std::uint64_t n = keys.size();
 
   // Phase 1: local sort.
-  std::vector<std::uint32_t> scratch;
   {
     obs::ScopedSpan span(p, obs::SpanKind::kLocalSort);
-    p.timed(simd::Phase::kCompute, [&] {
-      localsort::radix_sort(std::span<std::uint32_t>(keys.data(), keys.size()), scratch);
-    });
+    p.timed(simd::Phase::kCompute, [&] { localsort::radix_sort(keys, scratch); });
   }
   if (P == 1) return;
 
@@ -93,22 +98,73 @@ void parallel_sample_sort(simd::Proc& p, std::vector<std::uint32_t>& keys, int o
     }
   });
   p.commit_exchange();
-  remap_span.end();
+}
 
-  // Phase 4: p-way merge of the P sorted runs, read in place from the
-  // pooled views (the self run is recv_view(p.rank())).
+/// The P received runs (each message verified once), and their total.
+std::size_t received_runs(const simd::Proc& p, std::vector<localsort::Run>& runs) {
+  std::size_t total = 0;
+  runs.clear();
+  for (std::uint64_t src = 0; src < static_cast<std::uint64_t>(p.nprocs()); ++src) {
+    runs.push_back({p.recv_view(src), true});
+    total += runs.back().data.size();
+  }
+  return total;
+}
+
+/// Phase 4: p-way merge of the received runs, read in place from the
+/// pooled views (the self run is recv_view(p.rank())).
+void merge_runs(simd::Proc& p, std::span<const localsort::Run> runs,
+                std::span<std::uint32_t> out, std::vector<std::uint32_t>& scratch) {
   obs::ScopedSpan merge_span(p, obs::SpanKind::kMergeStage);
-  p.timed(simd::Phase::kCompute, [&] {
-    std::size_t total = 0;
-    for (std::uint64_t src = 0; src < P; ++src) total += p.recv_view(src).size();
-    keys.resize(total);
-    std::vector<localsort::Run> runs;
-    runs.reserve(P);
-    for (std::uint64_t src = 0; src < P; ++src) {
-      runs.push_back({p.recv_view(src), true});
-    }
-    localsort::pway_merge(runs, std::span<std::uint32_t>(keys.data(), keys.size()));
-  });
+  p.timed(simd::Phase::kCompute, [&] { localsort::pway_merge(runs, out, scratch); });
+}
+
+}  // namespace
+
+void parallel_sample_sort(simd::Proc& p, std::vector<std::uint32_t>& keys, int oversample) {
+  std::vector<std::uint32_t> scratch;
+  sort_and_partition(p, keys, oversample, scratch);
+  if (p.nprocs() == 1) return;
+  // `keys` was packed into the send slots, so it can take the output.
+  std::vector<localsort::Run> runs;
+  keys.resize(received_runs(p, runs));
+  merge_runs(p, runs, keys, scratch);
+}
+
+std::span<std::uint32_t> parallel_sample_sort(simd::Proc& p, std::span<std::uint32_t> all,
+                                              std::span<std::size_t> part_sizes,
+                                              std::vector<std::uint32_t>& scratch,
+                                              int oversample) {
+  const auto P = static_cast<std::size_t>(p.nprocs());
+  const auto me = static_cast<std::size_t>(p.rank());
+  const std::size_t n = all.size() / P;
+  const auto mine = all.subspan(me * n, n);
+  sort_and_partition(p, mine, oversample, scratch);
+  if (P == 1) {
+    part_sizes[0] = n;
+    return mine;
+  }
+  std::vector<localsort::Run> runs;
+  part_sizes[me] = received_runs(p, runs);
+  // Every VP has packed its input (the exchange's commit barrier) and,
+  // after this barrier, published its part size: the parts tile `all`
+  // in rank order and may overwrite any VP's input.
+  p.barrier();
+  const std::size_t offset =
+      std::accumulate(part_sizes.begin(), part_sizes.begin() + static_cast<std::ptrdiff_t>(me),
+                      std::size_t{0});
+  const std::size_t total = std::accumulate(part_sizes.begin(), part_sizes.end(), std::size_t{0});
+  if (total != all.size()) {
+    // Every VP sees the same sizes, so every VP throws here.
+    std::ostringstream os;
+    os << "sample sort: the partition exchange delivered " << total << " keys in all, expected "
+       << all.size() << " (a message was resized in flight)";
+    throw ExchangeError(os.str(),
+                        {p.rank(), static_cast<std::int64_t>(p.comm().exchanges) - 1, -1});
+  }
+  const auto out = all.subspan(offset, part_sizes[me]);
+  merge_runs(p, runs, out, scratch);
+  return out;
 }
 
 }  // namespace bsort::psort

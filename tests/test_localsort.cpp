@@ -146,5 +146,72 @@ TEST(PwayMerge, ManyRunsRandom) {
   EXPECT_EQ(out, all);
 }
 
+
+/// Runs built from `make(run, len, rng)`, lengths from `len_of(run)`,
+/// directions alternating in a pattern that is not a power of two, merged
+/// through the scratch overload (reused across calls) and checked
+/// against std::sort of the concatenation.
+template <typename Len, typename Make>
+void check_merge(std::size_t nruns, Len len_of, Make make, std::vector<std::uint32_t>& scratch) {
+  util::SplitMix64 rng(nruns * 7919 + 1);
+  std::vector<std::vector<std::uint32_t>> data(nruns);
+  std::vector<Run> runs;
+  std::vector<std::uint32_t> want;
+  for (std::size_t i = 0; i < nruns; ++i) {
+    const std::size_t len = len_of(i);
+    for (std::size_t k = 0; k < len; ++k) data[i].push_back(make(i, rng));
+    const bool asc = (i % 3) != 1;
+    if (asc) {
+      std::sort(data[i].begin(), data[i].end());
+    } else {
+      std::sort(data[i].begin(), data[i].end(), std::greater<>());
+    }
+    runs.push_back({data[i], asc});
+    want.insert(want.end(), data[i].begin(), data[i].end());
+  }
+  std::sort(want.begin(), want.end());
+  std::vector<std::uint32_t> out(want.size(), 0xDEADBEEFu);
+  pway_merge(runs, out, scratch);
+  EXPECT_EQ(out, want) << nruns << " runs";
+}
+
+TEST(PwayMerge, EveryRunCountUpToSeventeenMatchesStdSort) {
+  // 0-17 runs cover every odd/even split of the merge tree, with lengths
+  // 0, 1 and uneven sizes mixed in.
+  std::vector<std::uint32_t> scratch;
+  for (std::size_t nruns = 0; nruns <= 17; ++nruns) {
+    check_merge(
+        nruns, [](std::size_t i) { return (i * 37) % 5 == 0 ? i % 2 : (i * 131) % 97 + 2; },
+        [](std::size_t, util::SplitMix64& rng) { return static_cast<std::uint32_t>(rng.next()); },
+        scratch);
+  }
+}
+
+TEST(PwayMerge, HeavyDuplicatesMatchStdSort) {
+  std::vector<std::uint32_t> scratch;
+  for (const std::size_t nruns : {2u, 3u, 5u, 8u, 13u}) {
+    check_merge(
+        nruns, [](std::size_t i) { return 50 + i * 11; },
+        [](std::size_t, util::SplitMix64& rng) { return static_cast<std::uint32_t>(rng.next() % 3); },
+        scratch);
+  }
+}
+
+TEST(PwayMerge, RunsOfTheServicePadKeyMatchStdSort) {
+  // UINT32_MAX is the service's pad key: a merge that used it as a
+  // sentinel would stop early or drop keys.
+  std::vector<std::uint32_t> scratch;
+  for (const std::size_t nruns : {1u, 2u, 3u, 4u, 7u, 16u}) {
+    check_merge(
+        nruns, [](std::size_t i) { return 1 + i * 9; },
+        [](std::size_t run, util::SplitMix64& rng) {
+          return run % 2 == 0 ? UINT32_MAX
+                              : (rng.next() % 4 == 0 ? UINT32_MAX
+                                                     : static_cast<std::uint32_t>(rng.next()));
+        },
+        scratch);
+  }
+}
+
 }  // namespace
 }  // namespace bsort::localsort
