@@ -434,41 +434,44 @@ int main(int argc, char** argv) {
     report.add_count("pooled_call/sample_heap_allocations", static_cast<double>(sample));
   }
 
-  // ---- flight-recorder + service-metrics allocation audit -------------
-  // The service tier's always-on observability hot path: one
-  // FlightRecorder::record() plus the ServiceMetrics histogram/counter
-  // bumps every dispatched batch pays.  The ring is preallocated at
-  // construction and overwrite-oldest, so after one full wrap (the warm
-  // loop spins past capacity) the measured window must allocate exactly
-  // nothing — the recorder can stay on in production.  ns_per_event is
-  // the absolute price of a fully-loaded record.
+  // ---- service recorder allocation audit ------------------------------
+  // The service tier's always-on observability hot path: every request
+  // lifecycle transition is one FlightRecorder::record() that appends
+  // the record and folds it into the service counters and histograms.
+  // The loop cycles through what a one-request batch pays (dispatched,
+  // batch-done, completed), so ns_per_event is the mean price of one
+  // transition.  The ring is preallocated at construction and
+  // overwrite-oldest, so after one full wrap (the warm loop spins past
+  // capacity) the measured window must allocate exactly nothing — the
+  // recorder can stay on in production.
   {
     obs::FlightRecorder rec(1024);
-    obs::ServiceMetrics sm;
-    sm.clear();
     const auto event = [&rec](int i) {
+      constexpr obs::FlightEventKind kKinds[3] = {
+          obs::FlightEventKind::kDispatched, obs::FlightEventKind::kBatchDone,
+          obs::FlightEventKind::kCompleted};
       obs::FlightRecord r;
-      r.kind = obs::FlightEventKind::kDispatched;
+      r.kind = kKinds[i % 3];
       r.trace_id = 0x9e3779b97f4a7c15ull + static_cast<std::uint64_t>(i);
-      r.t_us = rec.now_us();
       r.slot = static_cast<std::uint32_t>(i & 1);
       r.attempt = 1;
       r.shard = static_cast<std::uint32_t>(i & 3);
       r.a = i;
       r.b = 2;
-      rec.record(r);
+      obs::FlightSample s;
+      s.queue_us = static_cast<double>(i & 255);
+      s.run_us = static_cast<double>(i & 1023);
+      s.total_us = s.queue_us + s.run_us;
+      s.priority = i & 1;
+      s.batch_size = 1 + (i & 3);
+      rec.record(r, s);
     };
     for (int i = 0; i < 2048; ++i) event(i);  // wrap the ring: steady state
 
     const int kEvents = 200000;
     const std::uint64_t a0 = g_allocs.load();
     const auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < kEvents; ++i) {
-      event(i);
-      sm.run_us.record(static_cast<double>(i & 1023));
-      sm.batch_occupancy.record(static_cast<double>(1 + (i & 3)));
-      ++sm.batches;
-    }
+    for (int i = 0; i < kEvents; ++i) event(i);
     const double ns_per_event =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count() * 1e9 / kEvents;

@@ -34,15 +34,33 @@ double FlightRecorder::now_us() const {
       .count();
 }
 
-void FlightRecorder::record(FlightRecord r) {
+double FlightRecorder::record(FlightRecord r, const FlightSample& s) {
   r.t_us = now_us();
   std::lock_guard<std::mutex> lock(mu_);
   r.seq = seq_++;
+  // The one switch: which histograms each kind feeds.  Every kind
+  // counts; counters are numbers of records.
+  ++metrics_.events[static_cast<int>(r.kind)];
+  switch (r.kind) {
+    case FlightEventKind::kEnqueued:
+      if (r.a > 1) ++metrics_.sharded;
+      metrics_.shard_fanout.record(static_cast<double>(r.a));
+      break;
+    case FlightEventKind::kBatchDone:
+      metrics_.batch_occupancy.record(s.batch_size);
+      break;
+    case FlightEventKind::kCompleted:
+      metrics_.queue_us.record(s.queue_us);
+      metrics_.run_us.record(s.run_us);
+      metrics_.total_us.record(s.total_us);
+      metrics_.class_total_us[s.priority].record(s.total_us);
+      break;
+    default:
+      break;
+  }
   if (buf_.empty()) {
     ++dropped_;
-    return;
-  }
-  if (count_ == buf_.size()) {
+  } else if (count_ == buf_.size()) {
     buf_[head_] = r;
     head_ = (head_ + 1) % buf_.size();
     ++dropped_;
@@ -50,6 +68,12 @@ void FlightRecorder::record(FlightRecord r) {
     buf_[(head_ + count_) % buf_.size()] = r;
     ++count_;
   }
+  return r.t_us;
+}
+
+ServiceMetrics FlightRecorder::metrics() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return metrics_;
 }
 
 std::size_t FlightRecorder::size() const {

@@ -72,28 +72,6 @@ void VpMetrics::clear() {
   for (auto& c : span_count) c = 0;
 }
 
-void ServiceMetrics::clear() {
-  queue_us.clear();
-  run_us.clear();
-  total_us.clear();
-  batch_occupancy.clear();
-  shard_fanout.clear();
-  for (auto& h : class_total_us) h.clear();
-  submitted = 0;
-  completed = 0;
-  failed = 0;
-  rejected_queue_full = 0;
-  rejected_deadline = 0;
-  batches = 0;
-  sharded = 0;
-  retries = 0;
-  shed = 0;
-  cancelled = 0;
-  quarantined = 0;
-  replaced = 0;
-  health_checks = 0;
-}
-
 double exact_quantile(std::vector<double> values, double q) {
   if (values.empty()) return 0;
   std::sort(values.begin(), values.end());

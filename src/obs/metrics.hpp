@@ -118,48 +118,4 @@ ObsReport summarize(const VpMetrics* per_vp, int nprocs);
 /// Exact q-quantile of a small sample (sorts a copy; aggregation only).
 double exact_quantile(std::vector<double> values, double q);
 
-// ---- Service SLO metrics (src/service/) -----------------------------
-//
-// Host-side counterpart of VpMetrics for the sort-as-a-service layer:
-// the same LogHistogram machinery, but recording REAL (host-clock)
-// per-request latencies and batch shapes instead of per-VP simulated
-// phases.  Written under the owning SortService's lock (requests are
-// admitted through it anyway), snapshotted lock-free into
-// service::ServiceStats.  Canonical metric names — used verbatim in
-// BENCH_service.json and ServiceStats — are the field names below.
-
-/// Number of service QoS classes (service::Priority values).
-inline constexpr int kServiceClasses = 2;
-
-struct ServiceMetrics {
-  LogHistogram queue_us;   ///< admission -> dispatch wait per request
-  LogHistogram run_us;     ///< dispatch -> completion (host wall)
-  LogHistogram total_us;   ///< submit -> completion (the SLO latency)
-  LogHistogram batch_occupancy;  ///< requests coalesced per shared run
-  LogHistogram shard_fanout;     ///< fragments per admitted request
-
-  /// Per-QoS-class SLO latency, indexed by service::Priority (0 = high,
-  /// 1 = low) — the curves the overload-control policy exists to
-  /// separate: under saturation high stays bounded while low is shed.
-  LogHistogram class_total_us[kServiceClasses];
-
-  std::uint64_t submitted = 0;   ///< admitted into the queue
-  std::uint64_t completed = 0;   ///< promise fulfilled with sorted keys
-  std::uint64_t failed = 0;      ///< run failed (structured error delivered)
-  std::uint64_t rejected_queue_full = 0;
-  std::uint64_t rejected_deadline = 0;  ///< expired before dispatch
-  std::uint64_t batches = 0;     ///< shared runs executed
-  std::uint64_t sharded = 0;     ///< oversized requests split across the pool
-
-  // ---- resilience (self-healing service layer) ----------------------
-  std::uint64_t retries = 0;      ///< fragment re-runs after retryable failure
-  std::uint64_t shed = 0;         ///< dropped at dispatch: deadline unmeetable
-  std::uint64_t cancelled = 0;    ///< sibling fragments of a failed request
-  std::uint64_t quarantined = 0;  ///< pool members pulled from service
-  std::uint64_t replaced = 0;     ///< fresh machines swapped into the pool
-  std::uint64_t health_checks = 0;  ///< self-check runs after a failed batch
-
-  void clear();
-};
-
 }  // namespace bsort::obs

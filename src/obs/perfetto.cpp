@@ -120,9 +120,10 @@ namespace {
 /// Queue-track tids: the queue itself is tid 0, pool slot s is 1 + s.
 constexpr int kQueueTid = 0;
 
-/// Flight events that end a request's life on the queue track.
-bool is_terminal(FlightEventKind k) {
-  switch (k) {
+/// Flight events that end a request's life on the queue track (a
+/// request-scoped `stopped` is a submit refused after shutdown).
+bool is_terminal(const FlightRecord& e) {
+  switch (e.kind) {
     case FlightEventKind::kQueueFull:
     case FlightEventKind::kDeadlineMiss:
     case FlightEventKind::kShed:
@@ -130,6 +131,8 @@ bool is_terminal(FlightEventKind k) {
     case FlightEventKind::kCompleted:
     case FlightEventKind::kFailed:
       return true;
+    case FlightEventKind::kStopped:
+      return e.trace_id != 0;
     default:
       return false;
   }
@@ -265,7 +268,6 @@ void write_service_perfetto(std::ostream& os,
         break;
       case FlightEventKind::kQueueFull:
         emit_queue_depth(os, first, meta.pid, e.t_us, e.a);
-        emit_anchor(os, first, meta.pid, e);
         break;
       case FlightEventKind::kDispatched: {
         emit_queue_depth(os, first, meta.pid, e.t_us, e.b);
@@ -293,7 +295,7 @@ void write_service_perfetto(std::ostream& os,
       default:
         break;
     }
-    if (is_terminal(e.kind) && e.kind != FlightEventKind::kQueueFull) {
+    if (is_terminal(e)) {
       emit_anchor(os, first, meta.pid, e);
       if (flow_started(e.trace_id)) {
         emit_flow(os, first, "f", meta.pid, kQueueTid, e.t_us + 0.25,

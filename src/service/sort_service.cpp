@@ -21,6 +21,7 @@ namespace bsort::service {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+using Kind = obs::FlightEventKind;
 
 /// Pads sort to the tail under unsigned comparison, so dropping exactly
 /// pad-many tail entries after the sort restores the request even when
@@ -62,6 +63,37 @@ std::uint8_t flight_error_class(const std::exception_ptr& error) {
   return static_cast<std::uint8_t>(
       1 + static_cast<int>(fault::classify_failure(error)));
 }
+
+/// The service counters: each is the number of flight records of one
+/// kind (`sharded`: the enqueued records of two or more fragments).
+/// stats() and the telemetry sample both read this one table.
+struct CounterName {
+  const char* name;
+  std::uint64_t ServiceStats::*field;
+  Kind kind;
+  bool multi_fragment = false;
+
+  [[nodiscard]] std::uint64_t count(const obs::ServiceMetrics& m) const {
+    return multi_fragment ? m.sharded : m.count(kind);
+  }
+};
+constexpr CounterName kCounters[] = {
+    {"submitted", &ServiceStats::submitted, Kind::kEnqueued},
+    {"completed", &ServiceStats::completed, Kind::kCompleted},
+    {"failed", &ServiceStats::failed, Kind::kFailed},
+    {"rejected_queue_full", &ServiceStats::rejected_queue_full,
+     Kind::kQueueFull},
+    {"rejected_deadline", &ServiceStats::rejected_deadline,
+     Kind::kDeadlineMiss},
+    {"batches", &ServiceStats::batches, Kind::kBatchDone},
+    {"sharded", &ServiceStats::sharded, Kind::kEnqueued, true},
+    {"retries", &ServiceStats::retries, Kind::kRetryScheduled},
+    {"shed", &ServiceStats::shed, Kind::kShed},
+    {"cancelled", &ServiceStats::cancelled, Kind::kCancelled},
+    {"quarantined", &ServiceStats::quarantined, Kind::kQuarantined},
+    {"replaced", &ServiceStats::replaced, Kind::kReplaced},
+    {"health_checks", &ServiceStats::health_checks, Kind::kHealthCheck},
+};
 
 }  // namespace
 
@@ -160,7 +192,6 @@ SortService::SortService(ServiceConfig config)
   // config: probe the smallest shape the padder would ever produce.
   static_cast<void>(padded_size(1));
 
-  metrics_.clear();
   pool_.reserve(static_cast<std::size_t>(config_.pool_size));
   for (int i = 0; i < config_.pool_size; ++i) {
     pool_.push_back(PoolSlot{make_machine(), 0, i, 0});
@@ -211,13 +242,9 @@ void SortService::shutdown(ShutdownPolicy policy) {
       grab(retry_);
     }
   }
-  {
-    obs::FlightRecord r;
-    r.kind = obs::FlightEventKind::kStopped;
-    r.a = policy == ShutdownPolicy::kAbort ? 1 : 0;
-    r.b = static_cast<std::int64_t>(dropped.size());
-    flight_.record(r);
-  }
+  transition(Kind::kStopped,
+             {.a = policy == ShutdownPolicy::kAbort ? 1 : 0,
+              .b = static_cast<std::int64_t>(dropped.size())});
   cv_.notify_all();
   for (auto& f : dropped) {
     fail_fragment(f, std::make_exception_ptr(ServiceStopped(
@@ -278,50 +305,26 @@ std::future<SortResult> SortService::submit(std::vector<std::uint32_t> keys,
     req->deadline = now + from_seconds(options.deadline_s);
   }
   auto future = req->promise.get_future();
-
-  {
-    obs::FlightRecord r;
-    r.kind = obs::FlightEventKind::kSubmitted;
-    r.trace_id = req->trace_id;
-    r.a = static_cast<std::int64_t>(keys.size());
-    r.b = static_cast<std::int64_t>(options.priority);
-    flight_.record(r);
-  }
-
-  if (keys.empty()) {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (stopping_) {
-      throw ServiceStopped("SortService: submit after shutdown",
-                           req->trace_id);
-    }
-    ++metrics_.submitted;
-    ++metrics_.completed;
-    metrics_.total_us.record(0);
-    metrics_.class_total_us[static_cast<int>(options.priority)].record(0);
-    SortResult empty;
-    empty.trace_id = req->trace_id;
-    req->promise.set_value(std::move(empty));
-    obs::FlightRecord r;
-    r.kind = obs::FlightEventKind::kCompleted;
-    r.trace_id = req->trace_id;
-    flight_.record(r);
-    return future;
-  }
+  transition(Kind::kSubmitted,
+             {.trace_id = req->trace_id,
+              .a = static_cast<std::int64_t>(keys.size()),
+              .b = static_cast<std::int64_t>(options.priority)});
 
   // Plan the request into fragments OUTSIDE the lock: padding and
-  // splitter partitioning touch every key.
+  // splitter partitioning touch every key.  A request without keys
+  // plans no fragment and completes at admission.
   const bool shard = config_.shard_threshold > 0 &&
                      keys.size() >= config_.shard_threshold &&
                      config_.shards_per_request >= 2;
   std::vector<Fragment> frags;
-  if (!shard) {
+  if (!shard && !keys.empty()) {
     Fragment f;
     f.req = req;
     f.real_size = keys.size();
     f.keys = std::move(keys);
     f.keys.resize(padded_size(f.real_size), kPadKey);
     frags.push_back(std::move(f));
-  } else {
+  } else if (shard) {
     // Sampled splitters (oversampling rate 32 per shard): the shard
     // ranges are disjoint and ordered, so the sorted shards concatenate
     // into the sorted request with no merge step.
@@ -356,14 +359,17 @@ std::future<SortResult> SortService::submit(std::vector<std::uint32_t> keys,
       frags.push_back(std::move(f));
     }
   }
-  req->shards = static_cast<int>(frags.size());
-  req->parts_pending = static_cast<int>(frags.size());
+  const auto n_frags = static_cast<std::int64_t>(frags.size());
+  req->shards = static_cast<int>(n_frags);
+  req->parts_pending = static_cast<int>(n_frags);
   req->parts.resize(shard ? static_cast<std::size_t>(config_.shards_per_request)
                           : 1);
 
   {
     std::lock_guard<std::mutex> lk(mu_);
     if (stopping_) {
+      transition(Kind::kStopped,
+                 {.trace_id = req->trace_id, .a = abort_ ? 1 : 0});
       throw ServiceStopped("SortService: submit after shutdown",
                            req->trace_id);
     }
@@ -374,14 +380,11 @@ std::future<SortResult> SortService::submit(std::vector<std::uint32_t> keys,
                                   ? low_limit_
                                   : config_.queue_limit;
     const std::size_t depth = queue_depth_locked();
-    if (depth + frags.size() > limit) {
-      ++metrics_.rejected_queue_full;
-      obs::FlightRecord r;
-      r.kind = obs::FlightEventKind::kQueueFull;
-      r.trace_id = req->trace_id;
-      r.a = static_cast<std::int64_t>(depth);
-      r.b = static_cast<std::int64_t>(limit);
-      flight_.record(r);
+    if (!frags.empty() && depth + frags.size() > limit) {
+      transition(Kind::kQueueFull,
+                 {.trace_id = req->trace_id,
+                  .a = static_cast<std::int64_t>(depth),
+                  .b = static_cast<std::int64_t>(limit)});
       std::ostringstream os;
       os << "SortService: queue full — " << depth << " fragment(s) "
          << "pending plus " << frags.size() << " new would exceed the "
@@ -390,10 +393,7 @@ std::future<SortResult> SortService::submit(std::vector<std::uint32_t> keys,
          << " of " << limit;
       throw QueueFull(os.str(), depth, limit, req->trace_id);
     }
-    ++metrics_.submitted;
-    req->id = metrics_.submitted;
-    if (frags.size() > 1) ++metrics_.sharded;
-    metrics_.shard_fanout.record(static_cast<double>(frags.size()));
+    req->id = ++admitted_;
     const auto enq = Clock::now();
     auto& queue =
         options.priority == Priority::kLow ? queue_lo_ : queue_hi_;
@@ -401,47 +401,45 @@ std::future<SortResult> SortService::submit(std::vector<std::uint32_t> keys,
       f.enqueued = enq;
       queue.push_back(std::move(f));
     }
-    obs::FlightRecord r;
-    r.kind = obs::FlightEventKind::kEnqueued;
-    r.trace_id = req->trace_id;
-    r.a = static_cast<std::int64_t>(frags.size());
-    r.b = static_cast<std::int64_t>(queue_depth_locked());
-    flight_.record(r);
+    // Recorded under mu_: enqueued precedes every dispatched record.
+    transition(Kind::kEnqueued,
+               {.trace_id = req->trace_id,
+                .a = n_frags,
+                .b = static_cast<std::int64_t>(queue_depth_locked())});
+  }
+  if (n_frags == 0) {
+    SortResult empty;
+    empty.trace_id = req->trace_id;
+    transition(Kind::kCompleted, {.trace_id = req->trace_id},
+               {.priority = static_cast<int>(options.priority)});
+    req->promise.set_value(std::move(empty));
+    return future;
   }
   cv_.notify_all();
   return future;
 }
 
 void SortService::fail_fragment(Fragment& f, std::exception_ptr error,
-                                bool count_failed) {
-  // Mirror complete_fragment's order: claim the request under its own
-  // mutex, COUNT under mu_, and only then fulfill the promise — a
-  // caller that catches the failure and immediately calls stats() must
-  // see it counted.  Claiming makes this thread the sole deliverer, so
-  // the promise needs no lock; the two mutexes are never nested.
+                                bool record_end) {
+  // Claim the request under its own mutex, record, and only then
+  // fulfill the promise — a caller that catches the failure and
+  // immediately calls stats() must see it counted.  Claiming makes this
+  // thread the sole deliverer, so the promise needs no lock.
   {
     std::lock_guard<std::mutex> lk(f.req->m);
     if (f.req->done) return;
     f.req->done = true;
     f.req->done_flag.store(true, std::memory_order_release);
   }
-  if (count_failed) {
-    std::lock_guard<std::mutex> lk(mu_);
-    ++metrics_.failed;
-  }
-  {
-    obs::FlightRecord r;
-    r.kind = obs::FlightEventKind::kFailed;
-    r.trace_id = f.req->trace_id;
-    r.shard = static_cast<std::uint32_t>(f.shard_index);
-    r.attempt = static_cast<std::uint32_t>(f.attempts);
-    r.error_class = flight_error_class(error);
-    r.a = f.attempts;
-    flight_.record(r);
+  if (record_end) {
+    transition(Kind::kFailed,
+               {.trace_id = f.req->trace_id,
+                .a = f.attempts,
+                .attempt = static_cast<std::uint32_t>(f.attempts),
+                .shard = static_cast<std::uint32_t>(f.shard_index),
+                .error_class = flight_error_class(error)});
   }
   f.req->promise.set_exception(std::move(error));
-  // Terminal failure: the post-mortem the dump path exists for.
-  if (count_failed) maybe_dump_flight();
 }
 
 void SortService::complete_fragment(Fragment&& f, double run_us,
@@ -450,7 +448,6 @@ void SortService::complete_fragment(Fragment&& f, double run_us,
   f.keys.resize(f.real_size);  // drop the kPadKey tail
   auto req = f.req;
 
-  bool finished = false;
   SortResult result;
   {
     std::lock_guard<std::mutex> lk(req->m);
@@ -464,7 +461,6 @@ void SortService::complete_fragment(Fragment&& f, double run_us,
 
     req->done = true;
     req->done_flag.store(true, std::memory_order_release);
-    finished = true;
     result.keys.reserve(req->total_keys);
     for (auto& part : req->parts) {
       result.keys.insert(result.keys.end(), part.begin(), part.end());
@@ -481,35 +477,28 @@ void SortService::complete_fragment(Fragment&& f, double run_us,
     result.makespan_us = req->makespan_us;
   }
 
-  if (finished) {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      ++metrics_.completed;
-      metrics_.queue_us.record(result.queue_us);
-      metrics_.run_us.record(result.run_us);
-      metrics_.total_us.record(result.total_us);
-      metrics_.class_total_us[static_cast<int>(req->priority)].record(
-          result.total_us);
-    }
-    obs::FlightRecord r;
-    r.kind = obs::FlightEventKind::kCompleted;
-    r.trace_id = req->trace_id;
-    r.a = static_cast<std::int64_t>(result.total_us);
-    r.b = result.retries;
-    flight_.record(r);
-    req->promise.set_value(std::move(result));
-  }
+  transition(Kind::kCompleted,
+             {.trace_id = req->trace_id,
+              .a = static_cast<std::int64_t>(result.total_us),
+              .b = result.retries},
+             {.queue_us = result.queue_us,
+              .run_us = result.run_us,
+              .total_us = result.total_us,
+              .priority = static_cast<int>(req->priority)});
+  req->promise.set_value(std::move(result));
 }
 
 void SortService::dispatch_loop(std::size_t slot_index) {
   PoolSlot& slot = pool_[slot_index];
+  const auto slot_id = static_cast<std::uint32_t>(slot_index);
 
   // A fragment rejected at dispatch (deadline expired in queue, or its
   // remaining budget is below the observed batch cost).  Failed OUTSIDE
-  // the queue lock: fail_fragment takes the request mutex and mu_.
+  // the queue lock: fail_fragment takes the request mutex.
   struct Doomed {
     Fragment f;
     bool shed = false;  ///< false = expired, true = budget-unmeetable
+    double remaining_us = 0;  ///< shed: the budget left at dispatch
   };
 
   // Ready work: an admitted fragment, or a retry whose backoff elapsed.
@@ -575,12 +564,10 @@ void SortService::dispatch_loop(std::size_t slot_index) {
           // Sibling cancellation: the request already failed
           // terminally, so sorting these keys would serve a future
           // that is already lost.
-          ++metrics_.cancelled;
           cancelled.push_back(std::move(f));
           continue;
         }
         if (f.req->expired(now)) {
-          ++metrics_.rejected_deadline;
           doomed.push_back({std::move(f), /*shed=*/false});
           continue;
         }
@@ -592,8 +579,7 @@ void SortService::dispatch_loop(std::size_t slot_index) {
               std::chrono::duration<double, std::micro>(f.req->deadline - now)
                   .count();
           if (remaining_us < run_ewma_us_) {
-            ++metrics_.shed;
-            doomed.push_back({std::move(f), /*shed=*/true});
+            doomed.push_back({std::move(f), /*shed=*/true, remaining_us});
             continue;
           }
         }
@@ -602,31 +588,24 @@ void SortService::dispatch_loop(std::size_t slot_index) {
       }
     }
     for (const auto& f : cancelled) {
-      obs::FlightRecord r;
-      r.kind = obs::FlightEventKind::kCancelled;
-      r.trace_id = f.req->trace_id;
-      r.slot = static_cast<std::uint32_t>(slot_index);
-      r.shard = static_cast<std::uint32_t>(f.shard_index);
-      flight_.record(r);
+      transition(Kind::kCancelled,
+                 {.trace_id = f.req->trace_id,
+                  .slot = slot_id,
+                  .shard = static_cast<std::uint32_t>(f.shard_index)});
     }
     cancelled.clear();
     for (auto& d : doomed) {
-      const auto now = Clock::now();
-      const double waited = us_between(d.f.req->submitted, now) / 1e6;
-      {
-        obs::FlightRecord r;
-        r.kind = d.shed ? obs::FlightEventKind::kShed
-                        : obs::FlightEventKind::kDeadlineMiss;
-        r.trace_id = d.f.req->trace_id;
-        r.slot = static_cast<std::uint32_t>(slot_index);
-        r.shard = static_cast<std::uint32_t>(d.f.shard_index);
-        r.a = static_cast<std::int64_t>(waited * 1e6);
-        flight_.record(r);
-      }
+      const double waited = us_between(d.f.req->submitted, Clock::now()) / 1e6;
+      transition(d.shed ? Kind::kShed : Kind::kDeadlineMiss,
+                 {.trace_id = d.f.req->trace_id,
+                  .a = static_cast<std::int64_t>(d.shed ? d.remaining_us
+                                                        : waited * 1e6),
+                  .slot = slot_id,
+                  .shard = static_cast<std::uint32_t>(d.f.shard_index)});
       std::ostringstream os;
       if (d.shed) {
         os << "SortService: shed at dispatch — remaining deadline budget of "
-           << (d.f.req->deadline_s - waited) << "s is below the observed "
+           << d.remaining_us / 1e6 << "s is below the observed "
            << "batch cost (request never dispatched this attempt)";
       } else {
         os << "SortService: deadline of " << d.f.req->deadline_s
@@ -639,7 +618,7 @@ void SortService::dispatch_loop(std::size_t slot_index) {
                     std::make_exception_ptr(DeadlineExceeded(
                         os.str(), d.f.req->deadline_s, waited,
                         d.f.req->trace_id)),
-                    /*count_failed=*/false);
+                    /*record_end=*/false);
     }
     if (batch.empty()) continue;
     run_batch(slot, batch);
@@ -704,17 +683,17 @@ void SortService::run_batch(PoolSlot& slot, std::vector<Fragment>& batch) {
     ++pool_busy_;
     depth_now = queue_depth_locked();
   }
-  slot.last_dispatch_us = flight_.now_us();
+  const auto slot_id = static_cast<std::uint32_t>(slot.index);
   for (const auto& f : batch) {
-    obs::FlightRecord r;
-    r.kind = obs::FlightEventKind::kDispatched;
-    r.trace_id = f.req->trace_id;
-    r.slot = static_cast<std::uint32_t>(slot.index);
-    r.attempt = static_cast<std::uint32_t>(f.attempts);
-    r.shard = static_cast<std::uint32_t>(f.shard_index);
-    r.a = ordinal;
-    r.b = static_cast<std::int64_t>(depth_now);
-    flight_.record(r);
+    const double t_us =
+        transition(Kind::kDispatched,
+                   {.trace_id = f.req->trace_id,
+                    .a = ordinal,
+                    .b = static_cast<std::int64_t>(depth_now),
+                    .slot = slot_id,
+                    .attempt = static_cast<std::uint32_t>(f.attempts),
+                    .shard = static_cast<std::uint32_t>(f.shard_index)});
+    if (&f == &batch.front()) slot.last_dispatch_us = t_us;
   }
 
   api::BatchOutcome out;
@@ -726,21 +705,16 @@ void SortService::run_batch(PoolSlot& slot, std::vector<Fragment>& batch) {
   }
   const double run_us = us_between(t0, Clock::now());
 
-  {
-    obs::FlightRecord r;
-    r.kind = obs::FlightEventKind::kBatchDone;
-    r.slot = static_cast<std::uint32_t>(slot.index);
-    r.a = ordinal;
-    r.b = static_cast<std::int64_t>(run_us);
-    if (error) r.error_class = flight_error_class(error);
-    flight_.record(r);
-  }
-
+  transition(Kind::kBatchDone,
+             {.a = ordinal,
+              .b = static_cast<std::int64_t>(run_us),
+              .slot = slot_id,
+              .error_class = error ? flight_error_class(error)
+                                   : std::uint8_t{0}},
+             {.batch_size = static_cast<int>(batch.size())});
   {
     std::lock_guard<std::mutex> lk(mu_);
     --pool_busy_;
-    ++metrics_.batches;
-    metrics_.batch_occupancy.record(static_cast<double>(batch.size()));
     if (!error) {
       // Smoothed batch cost, successful runs only (a watchdog-aborted
       // run's duration reflects the watchdog, not the work) — this is
@@ -765,37 +739,13 @@ void SortService::run_batch(PoolSlot& slot, std::vector<Fragment>& batch) {
     // health check) quarantine it and a fresh machine takes the slot.
     ++slot.consecutive_failures;
     const bool healthy = machine_healthy(machine);
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      ++metrics_.health_checks;
-    }
-    {
-      obs::FlightRecord r;
-      r.kind = obs::FlightEventKind::kHealthCheck;
-      r.slot = static_cast<std::uint32_t>(slot.index);
-      r.a = healthy ? 1 : 0;
-      flight_.record(r);
-    }
+    transition(Kind::kHealthCheck, {.a = healthy ? 1 : 0, .slot = slot_id});
     if (!healthy || slot.consecutive_failures >= config_.quarantine_after) {
-      {
-        std::lock_guard<std::mutex> lk(mu_);
-        ++metrics_.quarantined;
-        ++metrics_.replaced;
-      }
-      {
-        obs::FlightRecord r;
-        r.kind = obs::FlightEventKind::kQuarantined;
-        r.slot = static_cast<std::uint32_t>(slot.index);
-        r.a = slot.consecutive_failures;
-        flight_.record(r);
-      }
-      maybe_dump_flight();
+      transition(Kind::kQuarantined,
+                 {.a = slot.consecutive_failures, .slot = slot_id});
       slot.machine = make_machine();  // the old machine is destroyed here
       slot.consecutive_failures = 0;
-      obs::FlightRecord r;
-      r.kind = obs::FlightEventKind::kReplaced;
-      r.slot = static_cast<std::uint32_t>(slot.index);
-      flight_.record(r);
+      transition(Kind::kReplaced, {.slot = slot_id});
     }
     return;
   }
@@ -895,18 +845,16 @@ void SortService::handle_batch_failure(
     std::lock_guard<std::mutex> lk(mu_);
     aborting = abort_;
     if (!aborting) {
-      metrics_.retries += requeue.size();
       for (auto& f : requeue) {
-        obs::FlightRecord r;
-        r.kind = obs::FlightEventKind::kRetryScheduled;
-        r.trace_id = f.req->trace_id;
-        r.attempt = static_cast<std::uint32_t>(f.attempts);
-        r.shard = static_cast<std::uint32_t>(f.shard_index);
-        r.a = static_cast<std::int64_t>(
-            std::chrono::duration<double, std::milli>(f.not_before - now)
-                .count());
-        r.b = static_cast<std::int64_t>(queue_depth_locked() + 1);
-        flight_.record(r);
+        transition(
+            Kind::kRetryScheduled,
+            {.trace_id = f.req->trace_id,
+             .a = static_cast<std::int64_t>(
+                 std::chrono::duration<double, std::milli>(f.not_before - now)
+                     .count()),
+             .b = static_cast<std::int64_t>(queue_depth_locked() + 1),
+             .attempt = static_cast<std::uint32_t>(f.attempts),
+             .shard = static_cast<std::uint32_t>(f.shard_index)});
         retry_.push_back(std::move(f));
       }
     }
@@ -939,52 +887,53 @@ bool SortService::machine_healthy(simd::Machine& machine) {
 }
 
 ServiceStats SortService::stats() const {
-  std::lock_guard<std::mutex> lk(mu_);
   ServiceStats s;
-  s.submitted = metrics_.submitted;
-  s.completed = metrics_.completed;
-  s.failed = metrics_.failed;
-  s.rejected_queue_full = metrics_.rejected_queue_full;
-  s.rejected_deadline = metrics_.rejected_deadline;
-  s.batches = metrics_.batches;
-  s.sharded = metrics_.sharded;
-  s.retries = metrics_.retries;
-  s.shed = metrics_.shed;
-  s.cancelled = metrics_.cancelled;
-  s.quarantined = metrics_.quarantined;
-  s.replaced = metrics_.replaced;
-  s.health_checks = metrics_.health_checks;
-  s.queue_depth = queue_depth_locked();
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    s.queue_depth = queue_depth_locked();
+    s.pool_busy = pool_busy_;
+  }
+  const obs::ServiceMetrics m = flight_.metrics();
+  for (const CounterName& c : kCounters) s.*c.field = c.count(m);
   s.pool_size = config_.pool_size;
   s.uptime_s = std::chrono::duration<double>(Clock::now() - start_).count();
   s.sorts_per_sec =
       s.uptime_s > 0 ? static_cast<double>(s.completed) / s.uptime_s : 0;
-  s.queue_p50_us = metrics_.queue_us.quantile(0.50);
-  s.queue_p95_us = metrics_.queue_us.quantile(0.95);
-  s.queue_p99_us = metrics_.queue_us.quantile(0.99);
-  s.run_p50_us = metrics_.run_us.quantile(0.50);
-  s.run_p95_us = metrics_.run_us.quantile(0.95);
-  s.run_p99_us = metrics_.run_us.quantile(0.99);
-  s.total_p50_us = metrics_.total_us.quantile(0.50);
-  s.total_p95_us = metrics_.total_us.quantile(0.95);
-  s.total_p99_us = metrics_.total_us.quantile(0.99);
-  s.total_max_us = metrics_.total_us.max();
-  const auto& hi = metrics_.class_total_us[static_cast<int>(Priority::kHigh)];
-  const auto& lo = metrics_.class_total_us[static_cast<int>(Priority::kLow)];
+  s.queue_p50_us = m.queue_us.quantile(0.50);
+  s.queue_p95_us = m.queue_us.quantile(0.95);
+  s.queue_p99_us = m.queue_us.quantile(0.99);
+  s.run_p50_us = m.run_us.quantile(0.50);
+  s.run_p95_us = m.run_us.quantile(0.95);
+  s.run_p99_us = m.run_us.quantile(0.99);
+  s.total_p50_us = m.total_us.quantile(0.50);
+  s.total_p95_us = m.total_us.quantile(0.95);
+  s.total_p99_us = m.total_us.quantile(0.99);
+  s.total_max_us = m.total_us.max();
+  const auto& hi = m.class_total_us[static_cast<int>(Priority::kHigh)];
+  const auto& lo = m.class_total_us[static_cast<int>(Priority::kLow)];
   s.high_p50_us = hi.quantile(0.50);
   s.high_p95_us = hi.quantile(0.95);
   s.high_p99_us = hi.quantile(0.99);
   s.low_p50_us = lo.quantile(0.50);
   s.low_p95_us = lo.quantile(0.95);
   s.low_p99_us = lo.quantile(0.99);
-  s.batch_occupancy_mean = metrics_.batch_occupancy.mean();
-  s.batch_occupancy_max = metrics_.batch_occupancy.max();
-  s.pool_busy = pool_busy_;
-  s.shard_fanout_mean = metrics_.shard_fanout.mean();
-  s.shard_fanout_max = metrics_.shard_fanout.max();
+  s.batch_occupancy_mean = m.batch_occupancy.mean();
+  s.batch_occupancy_max = m.batch_occupancy.max();
+  s.shard_fanout_mean = m.shard_fanout.mean();
+  s.shard_fanout_max = m.shard_fanout.max();
   s.flight_recorded = flight_.size();
   s.flight_dropped = flight_.dropped();
   return s;
+}
+
+double SortService::transition(obs::FlightEventKind kind, obs::FlightRecord r,
+                               const obs::FlightSample& s) {
+  r.kind = kind;
+  const double t_us = flight_.record(r, s);
+  // Terminal failures and quarantines: the post-mortems the dump path
+  // exists for.
+  if (kind == Kind::kFailed || kind == Kind::kQuarantined) maybe_dump_flight();
+  return t_us;
 }
 
 std::size_t SortService::dump_flight(std::ostream& os) const {
@@ -1040,36 +989,23 @@ obs::TelemetrySample SortService::make_telemetry_sample() const {
     out.sum = h.sum();
     sample.hists.push_back(std::move(out));
   };
+  const obs::ServiceMetrics m = flight_.metrics();
+  for (const CounterName& c : kCounters) {
+    counter(c.name, static_cast<double>(c.count(m)));
+  }
   {
     std::lock_guard<std::mutex> lk(mu_);
-    counter("submitted", static_cast<double>(metrics_.submitted));
-    counter("completed", static_cast<double>(metrics_.completed));
-    counter("failed", static_cast<double>(metrics_.failed));
-    counter("rejected_queue_full",
-            static_cast<double>(metrics_.rejected_queue_full));
-    counter("rejected_deadline",
-            static_cast<double>(metrics_.rejected_deadline));
-    counter("batches", static_cast<double>(metrics_.batches));
-    counter("sharded", static_cast<double>(metrics_.sharded));
-    counter("retries", static_cast<double>(metrics_.retries));
-    counter("shed", static_cast<double>(metrics_.shed));
-    counter("cancelled", static_cast<double>(metrics_.cancelled));
-    counter("quarantined", static_cast<double>(metrics_.quarantined));
-    counter("replaced", static_cast<double>(metrics_.replaced));
-    counter("health_checks", static_cast<double>(metrics_.health_checks));
     gauge("queue_depth", static_cast<double>(queue_depth_locked()));
     gauge("pool_busy", static_cast<double>(pool_busy_));
-    gauge("pool_size", static_cast<double>(config_.pool_size));
-    hist("queue_wait_us", metrics_.queue_us);
-    hist("run_us", metrics_.run_us);
-    hist("total_us", metrics_.total_us);
-    hist("batch_size", metrics_.batch_occupancy);
-    hist("shard_fanout", metrics_.shard_fanout);
-    hist("high_total_us",
-         metrics_.class_total_us[static_cast<int>(Priority::kHigh)]);
-    hist("low_total_us",
-         metrics_.class_total_us[static_cast<int>(Priority::kLow)]);
   }
+  gauge("pool_size", static_cast<double>(config_.pool_size));
+  hist("queue_wait_us", m.queue_us);
+  hist("run_us", m.run_us);
+  hist("total_us", m.total_us);
+  hist("batch_size", m.batch_occupancy);
+  hist("shard_fanout", m.shard_fanout);
+  hist("high_total_us", m.class_total_us[static_cast<int>(Priority::kHigh)]);
+  hist("low_total_us", m.class_total_us[static_cast<int>(Priority::kLow)]);
   counter("flight_events",
           static_cast<double>(flight_.dropped() + flight_.size()));
   gauge("flight_dropped", static_cast<double>(flight_.dropped()));

@@ -75,9 +75,10 @@
 //
 //   * SLO METRICS — queue/run/total latency histograms (p50/p95/p99),
 //     per-class latency, retry/shed/quarantine/replace counters, queue
-//     depth, sorts/sec, batch occupancy — recorded through the
-//     obs::ServiceMetrics registry and snapshotted via stats(); the
-//     bench_service harness exports them as a bsort-bench-v1 report.
+//     depth, sorts/sec, batch occupancy — folded from the flight
+//     records by the one recorder (every counter is a count of records
+//     of one kind) and snapshotted via stats(); the bench_service
+//     harness exports them as a bsort-bench-v1 report.
 //
 // Thread safety: submit()/stats()/shutdown() may be called from any
 // thread.  Results are delivered through std::future; failures carry
@@ -99,7 +100,6 @@
 #include "fault/error.hpp"
 #include "fault/retry.hpp"
 #include "obs/flight.hpp"
-#include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 
 namespace bsort::service {
@@ -266,8 +266,10 @@ struct SortResult {
   double makespan_us = 0;  ///< simulated makespan (max over its runs)
 };
 
-/// Point-in-time service snapshot; quantiles come from the log2
-/// histograms of obs::ServiceMetrics (interpolated, max exact).
+/// Point-in-time service snapshot.  Each counter is the number of
+/// flight records of one kind (sharded: enqueued records of two or more
+/// fragments), read in one consistent snapshot; quantiles come from the
+/// log2 histograms of obs::ServiceMetrics (interpolated, max exact).
 struct ServiceStats {
   std::uint64_t submitted = 0;
   std::uint64_t completed = 0;
@@ -374,9 +376,9 @@ class SortService {
     std::unique_ptr<simd::Machine> machine;
     int consecutive_failures = 0;
     int index = 0;  ///< position in the pool (flight-recorder slot id)
-    /// Flight-recorder time the machine's most recent batch was
-    /// dispatched — the ts offset placing its spans on the service
-    /// timeline in export_perfetto().
+    /// Stamp of the `dispatched` record of the machine's most recent
+    /// batch — the ts offset placing its spans on the service timeline
+    /// in export_perfetto().
     double last_dispatch_us = 0;
   };
 
@@ -392,10 +394,11 @@ class SortService {
   /// Construct (and pre-warm) a fresh pool machine from the base config.
   [[nodiscard]] std::unique_ptr<simd::Machine> make_machine() const;
   /// Deliver `error` through the fragment's request (first failure
-  /// wins).  `count_failed` is false for queue-side rejections
-  /// (deadline expiry, shedding), which have their own counters.
+  /// wins) and record its `failed` end.  `record_end` is false for
+  /// queue-side rejections, whose shed or deadline-miss record already
+  /// ended the fragment.
   void fail_fragment(Fragment& f, std::exception_ptr error,
-                     bool count_failed = true);
+                     bool record_end = true);
   void complete_fragment(Fragment&& f, double run_us, int batch_items,
                          double makespan_us);
   /// Smallest total >= `size` the base config can schedule.
@@ -410,7 +413,7 @@ class SortService {
   Clock::time_point start_;
 
   std::mutex shutdown_mu_;  ///< serializes concurrent shutdown()
-  mutable std::mutex mu_;   ///< queues + metrics + stopping flags
+  mutable std::mutex mu_;   ///< queues + pool gauges + stopping flags
   std::condition_variable cv_;
   std::deque<Fragment> queue_hi_;  ///< Priority::kHigh admissions
   std::deque<Fragment> queue_lo_;  ///< Priority::kLow admissions
@@ -419,9 +422,16 @@ class SortService {
   bool abort_ = false;  ///< shutdown(kAbort): dispatchers exit without draining
   double run_ewma_us_ = 0;  ///< smoothed batch cost (successful runs only)
   int pool_busy_ = 0;       ///< dispatchers currently inside run_batch
-  obs::ServiceMetrics metrics_;
+  std::uint64_t admitted_ = 0;  ///< admission ordinal (seeds retry jitter)
 
   // ---- observability (DESIGN.md §11) --------------------------------
+  /// The one recorder of the service: append a `kind` record to the
+  /// flight ring and fold it (with `s`) into the counters and
+  /// histograms, all in one FlightRecorder::record call; after a
+  /// terminal failure or a quarantine, also dump the ring.  Safe with
+  /// or without mu_ held.  Returns the record's stamp.
+  double transition(obs::FlightEventKind kind, obs::FlightRecord r,
+                    const obs::FlightSample& s = {});
   /// Build one telemetry sample from the current stats + histograms.
   [[nodiscard]] obs::TelemetrySample make_telemetry_sample() const;
   void telemetry_loop();

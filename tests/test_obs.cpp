@@ -729,6 +729,37 @@ TEST(FlightRecorder, ZeroCapacityDropsEverything) {
   EXPECT_NE(os.str().find("bsort-flight-v1"), std::string::npos);
 }
 
+TEST(FlightRecorder, MetricsCountEveryRecordPastTheRing) {
+  obs::FlightRecorder rec(2);
+  rec.record(flight_event(obs::FlightEventKind::kEnqueued, 1, /*a=*/1));
+  rec.record(flight_event(obs::FlightEventKind::kEnqueued, 2, /*a=*/3));
+  obs::FlightSample batch;
+  batch.batch_size = 2;
+  rec.record(flight_event(obs::FlightEventKind::kBatchDone, 0), batch);
+  obs::FlightSample done;
+  done.queue_us = 5;
+  done.run_us = 20;
+  done.total_us = 30;
+  done.priority = 1;
+  rec.record(flight_event(obs::FlightEventKind::kCompleted, 1), done);
+  EXPECT_EQ(rec.dropped(), 2u);
+
+  const obs::ServiceMetrics m = rec.metrics();
+  EXPECT_EQ(m.count(obs::FlightEventKind::kEnqueued), 2u);
+  EXPECT_EQ(m.count(obs::FlightEventKind::kBatchDone), 1u);
+  EXPECT_EQ(m.count(obs::FlightEventKind::kCompleted), 1u);
+  EXPECT_EQ(m.count(obs::FlightEventKind::kFailed), 0u);
+  EXPECT_EQ(m.sharded, 1u);  // only the 3-fragment admission
+  EXPECT_EQ(m.shard_fanout.count(), 2u);
+  EXPECT_DOUBLE_EQ(m.shard_fanout.max(), 3.0);
+  EXPECT_DOUBLE_EQ(m.batch_occupancy.max(), 2.0);
+  EXPECT_DOUBLE_EQ(m.queue_us.sum(), 5.0);
+  EXPECT_DOUBLE_EQ(m.run_us.sum(), 20.0);
+  EXPECT_DOUBLE_EQ(m.total_us.sum(), 30.0);
+  EXPECT_EQ(m.class_total_us[0].count(), 0u);
+  EXPECT_DOUBLE_EQ(m.class_total_us[1].sum(), 30.0);
+}
+
 TEST(FlightRecorder, DumpJsonlSchemaRoundTrips) {
   obs::FlightRecorder rec(16);
   auto submitted = flight_event(obs::FlightEventKind::kSubmitted,

@@ -10,9 +10,14 @@
 #include <chrono>
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <future>
+#include <map>
+#include <set>
 #include <sstream>
+#include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "fault/error.hpp"
@@ -39,6 +44,52 @@ service::ServiceConfig small_service() {
   cfg.pool_size = 2;
   cfg.max_batch = 8;
   return cfg;
+}
+
+/// The fields of one bsort-flight-v1 record line the tests read.
+struct FlightLine {
+  std::string event;
+  std::string request;
+  double t_us = 0;
+  long long a = 0;
+};
+
+/// The retained records of a service's flight dump, oldest first.
+std::vector<FlightLine> flight_lines(const service::SortService& svc) {
+  std::ostringstream os;
+  svc.dump_flight(os);
+  std::istringstream in(os.str());
+  std::vector<FlightLine> out;
+  std::string line;
+  std::getline(in, line);  // meta
+  const auto field = [&line](const std::string& key) {
+    const auto at = line.find("\"" + key + "\":");
+    EXPECT_NE(at, std::string::npos) << key << " missing in " << line;
+    return at + key.size() + 3;
+  };
+  while (std::getline(in, line)) {
+    FlightLine r;
+    const auto ev = field("event") + 1;
+    r.event = line.substr(ev, line.find('"', ev) - ev);
+    const auto rq = field("request") + 1;
+    r.request = line.substr(rq, line.find('"', rq) - rq);
+    r.t_us = std::stod(line.substr(field("t_us")));
+    r.a = std::stoll(line.substr(field("a")));
+    out.push_back(std::move(r));
+  }
+  return out;
+}
+
+/// Ids of the flow events of one phase ("s", "t" or "f") in a trace.
+std::set<std::string> flow_ids(const std::string& trace, const char* ph) {
+  const std::string key = std::string("\"ph\":\"") + ph + "\",\"id\":\"";
+  std::set<std::string> ids;
+  for (auto at = trace.find(key); at != std::string::npos;
+       at = trace.find(key, at + 1)) {
+    const auto id = at + key.size();
+    ids.insert(trace.substr(id, trace.find('"', id) - id));
+  }
+  return ids;
 }
 
 TEST(SortService, SortsManyConcurrentRequests) {
@@ -394,7 +445,8 @@ TEST(SortService, ShedsRequestsWhoseBudgetCannotCoverABatch) {
   const double e_s = first.run_us / 1e6;
 
   std::vector<std::future<service::SortResult>> doomed;
-  for (const double mult : {0.2, 0.35, 0.5}) {
+  const double mults[] = {0.2, 0.35, 0.5};
+  for (const double mult : mults) {
     doomed.push_back(svc.submit(request_keys(64, 7),
                                 {/*deadline_s=*/mult * e_s}));
   }
@@ -413,6 +465,27 @@ TEST(SortService, ShedsRequestsWhoseBudgetCannotCoverABatch) {
                         << " rejected_deadline=" << s.rejected_deadline << ")";
   EXPECT_EQ(s.shed + s.rejected_deadline, 3u);
   EXPECT_EQ(s.failed, 0u) << "shedding is not a run failure";
+
+  // A shed record carries the budget that was left at dispatch: the
+  // deadline minus the time the request had spent in the service, not
+  // that time itself (which is all the machine being idle makes tiny).
+  // Submits came from this thread alone, so the n-th submitted record
+  // after the first request's is the n-th doomed request.
+  std::map<std::string, double> submitted_at, deadline_us;
+  for (const auto& r : flight_lines(svc)) {
+    if (r.event == "submitted") {
+      const std::size_t n = submitted_at.size();
+      submitted_at[r.request] = r.t_us;
+      if (n >= 1 && n <= 3) deadline_us[r.request] = mults[n - 1] * e_s * 1e6;
+    }
+    if (r.event != "shed") continue;
+    ASSERT_EQ(deadline_us.count(r.request), 1u) << r.request;
+    const double deadline = deadline_us[r.request];
+    const double waited = r.t_us - submitted_at.at(r.request);
+    EXPECT_LE(static_cast<double>(r.a), deadline) << r.request;
+    EXPECT_GE(static_cast<double>(r.a) + waited, 0.75 * deadline)
+        << r.request << " a=" << r.a << " waited=" << waited;
+  }
 
   // And the pool still serves.
   auto after = request_keys(256, 9);
@@ -650,6 +723,231 @@ TEST(SortService, FlightDumpPathWrittenAtShutdown) {
   EXPECT_NE(ss.str().find("\"event\":\"stopped\""), std::string::npos);
 }
 
+TEST(SortService, ExportPerfettoEndsTheFlowsOfRefusedSubmits) {
+  auto cfg = small_service();
+  cfg.queue_limit = 0;
+  service::SortService svc(cfg);
+  EXPECT_THROW(svc.submit(request_keys(64, 1)), service::QueueFull);
+  svc.shutdown();
+  EXPECT_THROW(svc.submit(request_keys(64, 2)), service::ServiceStopped);
+
+  std::ostringstream os;
+  svc.export_perfetto(os);
+  const auto started = flow_ids(os.str(), "s");
+  EXPECT_EQ(started.size(), 2u);
+  EXPECT_EQ(flow_ids(os.str(), "f"), started)
+      << "every flow that starts must end:\n" << os.str();
+}
+
+// Every ServiceStats counter is the number of flight records of its
+// kind, whatever path the requests took.  Each scenario drains (or
+// aborts) the service before the dump, so no record is still in flight.
+TEST(SortService, CountersAreTheFlightRecordCounts) {
+  struct Count {
+    const char* event;
+    std::uint64_t service::ServiceStats::*field;
+  };
+  const Count kCounts[] = {
+      {"enqueued", &service::ServiceStats::submitted},
+      {"completed", &service::ServiceStats::completed},
+      {"failed", &service::ServiceStats::failed},
+      {"queue-full", &service::ServiceStats::rejected_queue_full},
+      {"deadline-miss", &service::ServiceStats::rejected_deadline},
+      {"batch-done", &service::ServiceStats::batches},
+      {"retry-scheduled", &service::ServiceStats::retries},
+      {"shed", &service::ServiceStats::shed},
+      {"cancelled", &service::ServiceStats::cancelled},
+      {"quarantined", &service::ServiceStats::quarantined},
+      {"replaced", &service::ServiceStats::replaced},
+      {"health-check", &service::ServiceStats::health_checks},
+  };
+  // Crashes every run that reaches its first exchange.
+  const auto crash_always = [](service::ServiceConfig& cfg,
+                               fault::FaultPlan& plan) {
+    plan.rules = {{fault::FaultKind::kCrash, /*rank=*/1, /*exchange=*/0}};
+    cfg.base.faults = &plan;
+    cfg.base.small_item_threshold = 0;
+    cfg.base.watchdog_seconds = 60.0;
+    cfg.pool_size = 1;
+    cfg.max_batch = 1;
+  };
+  const auto park_then = [](service::SortService& svc,
+                            const std::function<void()>& behind) {
+    auto park = svc.submit(request_keys(std::size_t{1} << 16, 3));
+    behind();
+    park.get();
+  };
+  const auto settle = [](std::future<service::SortResult>& f) {
+    try {
+      f.get();
+    } catch (const bsort::Error&) {
+    }
+  };
+  struct Scenario {
+    const char* name;
+    std::function<void(service::ServiceConfig&, fault::FaultPlan&)> configure;
+    std::function<void(service::SortService&)> drive;
+    const char* must_see;  ///< an event the scenario exists to produce
+  };
+  const Scenario scenarios[] = {
+      {"plain", [](auto&, auto&) {},
+       [](service::SortService& svc) {
+         for (std::uint64_t i = 0; i < 3; ++i) {
+           svc.submit(request_keys(300 + i, i)).get();
+         }
+       },
+       "completed"},
+      {"sharded",
+       [](service::ServiceConfig& cfg, auto&) {
+         cfg.shard_threshold = 2048;
+         cfg.shards_per_request = 2;
+       },
+       [](service::SortService& svc) {
+         svc.submit(request_keys(4096, 5)).get();
+         svc.submit(request_keys(128, 6)).get();
+       },
+       "dispatched"},
+      {"empty", [](auto&, auto&) {},
+       [](service::SortService& svc) {
+         svc.submit({}).get();
+         svc.submit({}, {0, service::Priority::kLow}).get();
+       },
+       "completed"},
+      {"queue-full",
+       [](service::ServiceConfig& cfg, auto&) {
+         cfg.pool_size = 1;
+         cfg.max_batch = 1;
+         cfg.queue_limit = 2;
+       },
+       [&](service::SortService& svc) {
+         std::vector<std::future<service::SortResult>> accepted;
+         park_then(svc, [&] {
+           for (int i = 0; i < 6; ++i) {
+             try {
+               accepted.push_back(svc.submit(request_keys(64, 40 + i)));
+             } catch (const service::QueueFull&) {
+             }
+           }
+         });
+         for (auto& f : accepted) f.get();
+       },
+       "queue-full"},
+      {"deadline-miss",
+       [](service::ServiceConfig& cfg, auto&) { cfg.pool_size = 1; },
+       [&](service::SortService& svc) {
+         std::future<service::SortResult> doomed;
+         park_then(svc, [&] {
+           doomed = svc.submit(request_keys(128, 6), {/*deadline_s=*/1e-9});
+         });
+         settle(doomed);
+       },
+       "deadline-miss"},
+      {"shed", [](service::ServiceConfig& cfg, auto&) { cfg.pool_size = 1; },
+       [&](service::SortService& svc) {
+         const double e_s =
+             svc.submit(request_keys(std::size_t{1} << 17, 1)).get().run_us /
+             1e6;
+         for (const double mult : {0.2, 0.35, 0.5}) {
+           auto f = svc.submit(request_keys(64, 7), {mult * e_s});
+           settle(f);
+         }
+       },
+       "shed"},
+      {"cancelled sibling",
+       [&](service::ServiceConfig& cfg, fault::FaultPlan& plan) {
+         crash_always(cfg, plan);
+         cfg.shard_threshold = 1024;
+         cfg.shards_per_request = 4;
+         cfg.retry.max_retries = 0;
+       },
+       [&](service::SortService& svc) {
+         auto f = svc.submit(request_keys(4096, 11));
+         settle(f);
+       },
+       "cancelled"},
+      {"retry",
+       [&](service::ServiceConfig& cfg, fault::FaultPlan& plan) {
+         crash_always(cfg, plan);
+         cfg.retry.max_retries = 1;
+         cfg.retry.base_ms = 1;
+         cfg.retry.max_ms = 1;
+         cfg.quarantine_after = 10;
+       },
+       [&](service::SortService& svc) {
+         auto f = svc.submit(request_keys(2048, 17));
+         settle(f);
+       },
+       "retry-scheduled"},
+      {"quarantine",
+       [&](service::ServiceConfig& cfg, fault::FaultPlan& plan) {
+         crash_always(cfg, plan);
+         cfg.retry.max_retries = 1;
+         cfg.retry.base_ms = 1;
+         cfg.retry.max_ms = 1;
+         cfg.quarantine_after = 2;
+       },
+       [&](service::SortService& svc) {
+         auto f = svc.submit(request_keys(2048, 2));
+         settle(f);
+       },
+       "replaced"},
+      {"shutdown(kAbort)",
+       [](service::ServiceConfig& cfg, auto&) { cfg.pool_size = 1; },
+       [](service::SortService& svc) {
+         auto park = svc.submit(request_keys(std::size_t{1} << 18, 5));
+         while (svc.stats().queue_depth != 0) std::this_thread::yield();
+         std::vector<std::future<service::SortResult>> queued;
+         for (std::uint64_t i = 0; i < 4; ++i) {
+           queued.push_back(svc.submit(request_keys(128, i)));
+         }
+         svc.shutdown(service::ShutdownPolicy::kAbort);
+         park.get();
+         for (auto& f : queued) EXPECT_THROW(f.get(), service::ServiceStopped);
+       },
+       "failed"},
+  };
+
+  const auto run = [&](const Scenario& sc, std::size_t capacity) {
+    fault::FaultPlan plan;  // outlives the service
+    auto cfg = small_service();
+    cfg.flight_capacity = capacity;
+    sc.configure(cfg, plan);
+    service::SortService svc(cfg);
+    sc.drive(svc);
+    svc.shutdown();
+    std::map<std::string, std::uint64_t> n;
+    std::uint64_t sharded = 0;
+    for (const auto& r : flight_lines(svc)) {
+      ++n[r.event];
+      if (r.event == "enqueued" && r.a > 1) ++sharded;
+    }
+    return std::make_tuple(svc.stats(), n, sharded);
+  };
+  for (const Scenario& sc : scenarios) {
+    SCOPED_TRACE(sc.name);
+    const auto [s, n, sharded] = run(sc, 4096);
+    ASSERT_EQ(s.flight_dropped, 0u);
+    EXPECT_GT(n.count(sc.must_see), 0u);
+    for (const Count& c : kCounts) {
+      EXPECT_EQ(s.*c.field, n.count(c.event) ? n.at(c.event) : 0u) << c.event;
+    }
+    EXPECT_EQ(s.sharded, sharded);
+  }
+
+  // A ring that keeps nothing still counts everything: the retry
+  // scenario is deterministic, so its counters must match the records
+  // of the same scenario run with a ring.
+  const auto [kept, n, sharded] = run(scenarios[7], 4096);
+  const auto [none, n0, sharded0] = run(scenarios[7], 0);
+  EXPECT_TRUE(n0.empty());
+  EXPECT_EQ(none.flight_recorded, 0u);
+  EXPECT_EQ(none.flight_dropped, kept.flight_recorded);
+  for (const Count& c : kCounts) {
+    EXPECT_EQ(none.*c.field, kept.*c.field) << c.event;
+    EXPECT_EQ(none.*c.field, n.count(c.event) ? n.at(c.event) : 0u) << c.event;
+  }
+}
+
 TEST(SortService, ExportPerfettoAfterShutdownEmitsServiceTimeline) {
   auto cfg = small_service();
   cfg.base.profile_spans = 2048;  // machine tracks ride along
@@ -669,6 +967,7 @@ TEST(SortService, ExportPerfettoAfterShutdownEmitsServiceTimeline) {
             std::string::npos);
   EXPECT_NE(trace.find("\"ph\":\"s\""), std::string::npos);
   EXPECT_NE(trace.find("\"ph\":\"f\""), std::string::npos);
+  EXPECT_EQ(flow_ids(trace, "f"), flow_ids(trace, "s"));
 }
 
 }  // namespace

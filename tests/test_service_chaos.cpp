@@ -168,9 +168,9 @@ TEST(ServiceChaos, RetryExhaustionDeliversTraceIdAndAttempts) {
 
 TEST(ServiceChaos, StatsSnapshotsAreConsistentUnderConcurrentLoad) {
   // stats() is hammered from one thread while two others push traffic:
-  // every snapshot must be internally consistent (taken under the
-  // service lock — no torn reads) and counters must be monotone across
-  // snapshots.  TSan (which gates this suite in CI) proves the
+  // every snapshot must be internally consistent (the counters are one
+  // snapshot taken under the flight recorder's lock — no torn reads)
+  // and counters must be monotone across snapshots.  TSan (which gates this suite in CI) proves the
   // concurrent flight-recorder/metrics writes race-free.
   service::ServiceConfig cfg;
   cfg.base.nprocs = 4;

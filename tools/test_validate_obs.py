@@ -116,6 +116,48 @@ PROM_GOOD = [
 ]
 
 
+class CrossCheckTest(unittest.TestCase):
+    """Final telemetry counters against the flight dump's record counts."""
+
+    EVENTS = [
+        {"seq": 0, "t_us": 1.0, "event": "submitted",
+         "request": "0x910a2dec89025cc1", "a": 8192, "b": 0},
+        {"seq": 1, "t_us": 2.0, "event": "enqueued",
+         "request": "0x910a2dec89025cc1", "a": 2, "b": 2},
+        {"seq": 2, "t_us": 3.0, "event": "batch-done",
+         "request": "0x0000000000000000", "a": 0, "b": 9},
+        {"seq": 3, "t_us": 4.0, "event": "completed",
+         "request": "0x910a2dec89025cc1", "a": 10, "b": 0},
+    ]
+
+    def dump(self, dropped=0):
+        meta = dict(FLIGHT_META, recorded=len(self.EVENTS), dropped=dropped)
+        return jl(meta, *self.EVENTS)
+
+    def series(self, **totals):
+        counters = {"submitted": 1, "completed": 1, "failed": 0,
+                    "batches": 1, "sharded": 1, "flight_events": 4}
+        counters.update(totals)
+        s = {"type": "sample", "t_s": 1.0,
+             "counters": {k: {"total": v, "delta": v}
+                          for k, v in counters.items()}}
+        return jl(TELEMETRY_META, s)
+
+    def test_matching_pair_passes(self):
+        self.assertEqual(
+            validate_obs.cross_check(self.dump(), self.series()), [])
+
+    def test_drifted_counter_fails(self):
+        errs = validate_obs.cross_check(self.dump(), self.series(failed=1))
+        self.assertTrue(any("failed" in e for e in errs), errs)
+        errs = validate_obs.cross_check(self.dump(), self.series(sharded=0))
+        self.assertTrue(any("sharded" in e for e in errs), errs)
+
+    def test_dump_with_drops_skips_the_check(self):
+        self.assertEqual(validate_obs.cross_check(
+            self.dump(dropped=3), self.series(failed=1)), [])
+
+
 class PromTest(unittest.TestCase):
     def test_good_exposition_passes(self):
         self.assertEqual(validate_obs.validate_prom(PROM_GOOD), [])

@@ -27,6 +27,11 @@ Usage:
 --require-flow additionally demands at least one complete flow chain
 (s -> ... -> f with a shared id) in the Perfetto trace — the
 sharded-and-retried CI demo must show its arrows, not just parse.
+
+Given both --flight and --telemetry, the final telemetry sample's
+counter totals must equal the dump's per-kind record counts (every
+service counter is a count of flight records); the cross-check is
+skipped when the dump reports dropped records.
 """
 
 import argparse
@@ -41,6 +46,16 @@ FLIGHT_EVENTS = {
     "submitted", "enqueued", "queue-full", "dispatched", "batch-done",
     "retry-scheduled", "shed", "deadline-miss", "cancelled", "completed",
     "failed", "health-check", "quarantined", "replaced", "stopped",
+}
+
+# Telemetry counter -> the flight event it counts.  `sharded` counts the
+# enqueued records of two or more fragments, `flight_events` every record.
+COUNTER_EVENTS = {
+    "submitted": "enqueued", "completed": "completed", "failed": "failed",
+    "rejected_queue_full": "queue-full", "rejected_deadline": "deadline-miss",
+    "batches": "batch-done", "retries": "retry-scheduled", "shed": "shed",
+    "cancelled": "cancelled", "quarantined": "quarantined",
+    "replaced": "replaced", "health_checks": "health-check",
 }
 
 HEX_ID = re.compile(r"^0x[0-9a-f]{16}$")
@@ -163,6 +178,40 @@ def validate_telemetry(lines):
             if h["count"] == 0 and h["sum"] != 0:
                 errors.append(f"telemetry:{i}: hist {name!r} empty but "
                               f"sum={h['sum']}")
+    return errors
+
+
+def _json_rows(lines):
+    """Parsed JSON objects of the non-blank lines that parse."""
+    rows = []
+    for line in lines:
+        try:
+            rows.append(json.loads(line))
+        except ValueError:
+            pass
+    return [r for r in rows if isinstance(r, dict)]
+
+
+def cross_check(flight_lines, telemetry_lines):
+    """Final telemetry counter totals against the flight dump's record
+    counts; returns error strings (none when the dump dropped records,
+    since the ring no longer holds every record counted)."""
+    flight = _json_rows(flight_lines)
+    samples = [s for s in _json_rows(telemetry_lines)
+               if s.get("type") == "sample"]
+    if not flight or not samples or flight[0].get("dropped") != 0:
+        return []
+    events = [r.get("event") for r in flight[1:]]
+    counts = {name: events.count(ev) for name, ev in COUNTER_EVENTS.items()}
+    counts["sharded"] = sum(1 for r in flight[1:] if r.get("event") ==
+                            "enqueued" and _num(r.get("a")) and r["a"] > 1)
+    counts["flight_events"] = len(events)
+    errors = []
+    for name, c in samples[-1].get("counters", {}).items():
+        if name in counts and c.get("total") != counts[name]:
+            errors.append(f"cross-check: telemetry {name} total "
+                          f"{c.get('total')} != {counts[name]} matching "
+                          f"flight records")
     return errors
 
 
@@ -349,12 +398,16 @@ def main(argv=None):
     checked = 0
     if args.flight:
         with open(args.flight) as f:
-            errors += validate_flight(f.readlines())
+            flight = f.readlines()
+        errors += validate_flight(flight)
         checked += 1
     if args.telemetry:
         with open(args.telemetry) as f:
-            errors += validate_telemetry(f.readlines())
+            telemetry = f.readlines()
+        errors += validate_telemetry(telemetry)
         checked += 1
+        if args.flight:
+            errors += cross_check(flight, telemetry)
     if args.prom:
         with open(args.prom) as f:
             errors += validate_prom(f.readlines())
