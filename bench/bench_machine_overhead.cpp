@@ -1,8 +1,8 @@
 // Simulator overhead: host wall-seconds vs simulated makespan for smart
 // bitonic sort across machine sizes, plus a steady-state allocation
 // audit of the pooled exchange path (a warmed-up remap must perform
-// ZERO heap allocations — arenas, workspaces and worker threads are all
-// recycled).  The same audit covers the recording (span ring +
+// ZERO heap allocations — arenas, scratch buffers and worker threads are
+// all recycled).  The same audit covers the recording (span ring +
 // metrics) and hardening layers when armed, and the heap allocations of one warm
 // pooled parallel_sort_on call are counted.  Emits JSON on stdout for machine
 // consumption; with an output path argument it also writes a
@@ -20,7 +20,6 @@
 #include "backend/backend.hpp"
 #include "bench_report.hpp"
 #include "bitonic/remap_exec.hpp"
-#include "layout/bit_layout.hpp"
 #include "loggp/params.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
@@ -128,7 +127,7 @@ int main(int argc, char** argv) {
   }
 
   // ---- steady-state allocation audit --------------------------------
-  // One Machine, cached remap workspaces, repeated blocked<->cyclic
+  // One Machine, one shared remap program, repeated blocked<->cyclic
   // remaps.  After warmup every buffer has reached its high-water mark,
   // so the measured window must allocate exactly nothing.
   {
@@ -142,17 +141,18 @@ int main(int argc, char** argv) {
     simd::Machine m(P, loggp::meiko_cs2(), simd::MessageMode::kLong);
     std::atomic<std::uint64_t> window_allocs{0};
     const auto rep = m.run([&](simd::Proc& p) {
-      const auto blocked = layout::BitLayout::blocked(log_n, log_p);
-      const auto cyclic = layout::BitLayout::cyclic(log_n, log_p);
+      // The cyclic-blocked program's first stage: blocked -> cyclic -> blocked.
+      const auto prog = bitonic::remap_program(bitonic::RemapSort::kCyclicBlocked, log_n, log_p);
+      const auto& to_cyclic = prog->steps[0];
+      const auto& to_blocked = prog->steps[1];
       std::vector<std::uint32_t> a(n), b(n);
       for (std::size_t i = 0; i < n; ++i) {
         a[i] = static_cast<std::uint32_t>((i * 2654435761u) ^
                                           static_cast<std::uint32_t>(p.rank()));
       }
-      bitonic::RemapWorkspace ws_bc, ws_cb;
       for (int r = 0; r < kWarmup; ++r) {
-        bitonic::remap_data_into(p, blocked, cyclic, a, b, ws_bc);
-        bitonic::remap_data_into(p, cyclic, blocked, b, a, ws_cb);
+        bitonic::remap_data_into(p, to_cyclic, a, b);
+        bitonic::remap_data_into(p, to_blocked, b, a);
       }
       // Bracket the measured window with barriers so the snapshot on
       // rank 0 covers exactly the remaps of ALL ranks.
@@ -160,8 +160,8 @@ int main(int argc, char** argv) {
       std::uint64_t t0 = 0;
       if (p.rank() == 0) t0 = g_allocs.load();
       for (int r = 0; r < kMeasured; ++r) {
-        bitonic::remap_data_into(p, blocked, cyclic, a, b, ws_bc);
-        bitonic::remap_data_into(p, cyclic, blocked, b, a, ws_cb);
+        bitonic::remap_data_into(p, to_cyclic, a, b);
+        bitonic::remap_data_into(p, to_blocked, b, a);
       }
       p.barrier();
       if (p.rank() == 0) window_allocs.store(g_allocs.load() - t0);
@@ -203,24 +203,25 @@ int main(int argc, char** argv) {
                     backend::make(backend::Kind::kNative));
     std::atomic<std::uint64_t> window_allocs{0};
     const auto rep = m.run([&](simd::Proc& p) {
-      const auto blocked = layout::BitLayout::blocked(log_n, log_p);
-      const auto cyclic = layout::BitLayout::cyclic(log_n, log_p);
+      // The cyclic-blocked program's first stage: blocked -> cyclic -> blocked.
+      const auto prog = bitonic::remap_program(bitonic::RemapSort::kCyclicBlocked, log_n, log_p);
+      const auto& to_cyclic = prog->steps[0];
+      const auto& to_blocked = prog->steps[1];
       std::vector<std::uint32_t> a(n), b(n);
       for (std::size_t i = 0; i < n; ++i) {
         a[i] = static_cast<std::uint32_t>((i * 2654435761u) ^
                                           static_cast<std::uint32_t>(p.rank()));
       }
-      bitonic::RemapWorkspace ws_bc, ws_cb;
       for (int r = 0; r < kWarmup; ++r) {
-        bitonic::remap_data_into(p, blocked, cyclic, a, b, ws_bc);
-        bitonic::remap_data_into(p, cyclic, blocked, b, a, ws_cb);
+        bitonic::remap_data_into(p, to_cyclic, a, b);
+        bitonic::remap_data_into(p, to_blocked, b, a);
       }
       p.barrier();
       std::uint64_t t0 = 0;
       if (p.rank() == 0) t0 = g_allocs.load();
       for (int r = 0; r < kMeasured; ++r) {
-        bitonic::remap_data_into(p, blocked, cyclic, a, b, ws_bc);
-        bitonic::remap_data_into(p, cyclic, blocked, b, a, ws_cb);
+        bitonic::remap_data_into(p, to_cyclic, a, b);
+        bitonic::remap_data_into(p, to_blocked, b, a);
       }
       p.barrier();
       if (p.rank() == 0) window_allocs.store(g_allocs.load() - t0);
@@ -261,24 +262,25 @@ int main(int argc, char** argv) {
     simd::Machine m(P, loggp::meiko_cs2(), simd::MessageMode::kLong);
     std::atomic<std::uint64_t> window_allocs{0};
     const auto program = [&](simd::Proc& p) {
-      const auto blocked = layout::BitLayout::blocked(log_n, log_p);
-      const auto cyclic = layout::BitLayout::cyclic(log_n, log_p);
+      // The cyclic-blocked program's first stage: blocked -> cyclic -> blocked.
+      const auto prog = bitonic::remap_program(bitonic::RemapSort::kCyclicBlocked, log_n, log_p);
+      const auto& to_cyclic = prog->steps[0];
+      const auto& to_blocked = prog->steps[1];
       std::vector<std::uint32_t> a(n), b(n);
       for (std::size_t i = 0; i < n; ++i) {
         a[i] = static_cast<std::uint32_t>((i * 2654435761u) ^
                                           static_cast<std::uint32_t>(p.rank()));
       }
-      bitonic::RemapWorkspace ws_bc, ws_cb;
       for (int r = 0; r < kWarmup; ++r) {
-        bitonic::remap_data_into(p, blocked, cyclic, a, b, ws_bc);
-        bitonic::remap_data_into(p, cyclic, blocked, b, a, ws_cb);
+        bitonic::remap_data_into(p, to_cyclic, a, b);
+        bitonic::remap_data_into(p, to_blocked, b, a);
       }
       p.barrier();
       std::uint64_t t0 = 0;
       if (p.rank() == 0) t0 = g_allocs.load();
       for (int r = 0; r < kMeasured; ++r) {
-        bitonic::remap_data_into(p, blocked, cyclic, a, b, ws_bc);
-        bitonic::remap_data_into(p, cyclic, blocked, b, a, ws_cb);
+        bitonic::remap_data_into(p, to_cyclic, a, b);
+        bitonic::remap_data_into(p, to_blocked, b, a);
       }
       p.barrier();
       if (p.rank() == 0) window_allocs.store(g_allocs.load() - t0);
@@ -340,24 +342,25 @@ int main(int argc, char** argv) {
     simd::Machine m(P, loggp::meiko_cs2(), simd::MessageMode::kLong);
     std::atomic<std::uint64_t> window_allocs{0};
     const auto program = [&](simd::Proc& p) {
-      const auto blocked = layout::BitLayout::blocked(log_n, log_p);
-      const auto cyclic = layout::BitLayout::cyclic(log_n, log_p);
+      // The cyclic-blocked program's first stage: blocked -> cyclic -> blocked.
+      const auto prog = bitonic::remap_program(bitonic::RemapSort::kCyclicBlocked, log_n, log_p);
+      const auto& to_cyclic = prog->steps[0];
+      const auto& to_blocked = prog->steps[1];
       std::vector<std::uint32_t> a(n), b(n);
       for (std::size_t i = 0; i < n; ++i) {
         a[i] = static_cast<std::uint32_t>((i * 2654435761u) ^
                                           static_cast<std::uint32_t>(p.rank()));
       }
-      bitonic::RemapWorkspace ws_bc, ws_cb;
       for (int r = 0; r < kWarmup; ++r) {
-        bitonic::remap_data_into(p, blocked, cyclic, a, b, ws_bc);
-        bitonic::remap_data_into(p, cyclic, blocked, b, a, ws_cb);
+        bitonic::remap_data_into(p, to_cyclic, a, b);
+        bitonic::remap_data_into(p, to_blocked, b, a);
       }
       p.barrier();
       std::uint64_t t0 = 0;
       if (p.rank() == 0) t0 = g_allocs.load();
       for (int r = 0; r < kMeasured; ++r) {
-        bitonic::remap_data_into(p, blocked, cyclic, a, b, ws_bc);
-        bitonic::remap_data_into(p, cyclic, blocked, b, a, ws_cb);
+        bitonic::remap_data_into(p, to_cyclic, a, b);
+        bitonic::remap_data_into(p, to_blocked, b, a);
       }
       p.barrier();
       if (p.rank() == 0) window_allocs.store(g_allocs.load() - t0);
@@ -392,13 +395,15 @@ int main(int argc, char** argv) {
 
   // ---- warm pooled sort call: heap allocations ------------------------
   // One parallel_sort_on call on a warm pooled Machine (P=4, 2^12 keys
-  // per VP), for smart and for the two comparator sorts.  Not zero: every
-  // call allocates small per-call tables (and smart its n-key buffers).
-  // The mask plans come from the process-wide memo, so a warm smart call
-  // builds none of their tables; radix and sample sort keep their n-key
-  // workspace per VP thread, so a warm call allocates none.  Minimum
-  // over five calls after a warm-up call, so a stray allocation cannot
-  // move the count.
+  // per VP), for the three bitonic sorts and the two comparator sorts.
+  // Not zero: each call pays the facade's per-call tables and the
+  // RunReport's vectors in Machine::run.  Everything a VP works with is
+  // warm by then — the remap programs (layouts, schedule, mask plans,
+  // peers) come from the process-wide memo and the n-key buffer and
+  // exchange arena are the Machine's — so the three bitonic sorts make
+  // the same count, and radix and sample sort add only their small
+  // per-call tables.  Minimum over five calls after a warm-up call, so a
+  // stray allocation cannot move the count.
   {
     const int P = 4;
     simd::Machine m(P, loggp::meiko_cs2(), simd::MessageMode::kLong);
@@ -420,6 +425,8 @@ int main(int argc, char** argv) {
     };
     bool sorted = true;
     const std::uint64_t smart = warm_call_allocs(api::Algorithm::kSmartBitonic, sorted);
+    const std::uint64_t cyclic = warm_call_allocs(api::Algorithm::kCyclicBlockedBitonic, sorted);
+    const std::uint64_t merge = warm_call_allocs(api::Algorithm::kBlockedMergeBitonic, sorted);
     const std::uint64_t radix = warm_call_allocs(api::Algorithm::kParallelRadix, sorted);
     const std::uint64_t sample = warm_call_allocs(api::Algorithm::kSampleSort, sorted);
     if (!sorted) {
@@ -427,9 +434,14 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::cout << "  \"pooled_call\": {\"nprocs\": " << P << ", \"keys_per_proc\": " << (1 << 12)
-              << ", \"heap_allocations\": " << smart << ", \"radix_heap_allocations\": " << radix
+              << ", \"heap_allocations\": " << smart
+              << ", \"cyclic_heap_allocations\": " << cyclic
+              << ", \"blocked_merge_heap_allocations\": " << merge
+              << ", \"radix_heap_allocations\": " << radix
               << ", \"sample_heap_allocations\": " << sample << "},\n";
     report.add_count("pooled_call/heap_allocations", static_cast<double>(smart));
+    report.add_count("pooled_call/cyclic_heap_allocations", static_cast<double>(cyclic));
+    report.add_count("pooled_call/blocked_merge_heap_allocations", static_cast<double>(merge));
     report.add_count("pooled_call/radix_heap_allocations", static_cast<double>(radix));
     report.add_count("pooled_call/sample_heap_allocations", static_cast<double>(sample));
   }

@@ -282,9 +282,6 @@ BatchOutcome run_batch_on(simd::Machine& machine,
 
   BatchOutcome out;
   const auto run_program = [&](simd::Proc& p) {
-    // Local-sort / radix / sample workspace: one per VP thread, so it
-    // persists across the runs of a pooled machine.
-    thread_local std::vector<std::uint32_t> scratch;
     for (std::size_t it = 0; it < items.size(); ++it) {
       if (it > 0 && superstep[it] != superstep[it - 1]) {
         p.barrier();  // superstep boundary
@@ -294,7 +291,7 @@ BatchOutcome run_batch_on(simd::Machine& machine,
       if (local[it]) {
         if (owner[it] == static_cast<std::size_t>(p.rank())) {
           p.timed(simd::Phase::kCompute,
-                  [&] { localsort::radix_sort(keys, scratch); });
+                  [&] { localsort::radix_sort(keys, p.scratch()); });
           check_part(it, p, keys);
         }
         continue;
@@ -318,12 +315,12 @@ BatchOutcome run_batch_on(simd::Machine& machine,
           psort::column_sort(p, part);
           break;
         case Algorithm::kParallelRadix:
-          psort::parallel_radix_sort(p, part, scratch);
+          psort::parallel_radix_sort(p, part);
           break;
         case Algorithm::kSampleSort:
           // Parts vary in size: VP r's part is not its input block.
           part = psort::parallel_sample_sort(
-              p, keys, std::span<std::size_t>(part_sizes).subspan(it * P, P), scratch);
+              p, keys, std::span<std::size_t>(part_sizes).subspan(it * P, P));
           break;
       }
       check_part(it, p, part);

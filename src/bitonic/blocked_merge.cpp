@@ -1,11 +1,6 @@
-#include <algorithm>
-#include <cassert>
-#include <vector>
-
+#include "bitonic/remap_exec.hpp"
 #include "bitonic/sorts.hpp"
 #include "fault/error.hpp"
-#include "kernel/kernel.hpp"
-#include "localsort/radix_sort.hpp"
 #include "obs/profile.hpp"
 #include "util/bits.hpp"
 
@@ -18,19 +13,12 @@ void blocked_merge_sort(simd::Proc& p, std::span<std::uint32_t> keys) {
     throw ConfigError("blocked_merge_sort: keys per processor must be a power of two",
                       {p.rank(), -1, -1});
   }
-  std::vector<std::uint32_t> scratch;
 
   // First lg n stages: one local sort; the block's merge direction is the
   // parity of bit lg n of its absolute addresses, i.e. bit 0 of the rank.
   {
     obs::ScopedSpan span(p, obs::SpanKind::kLocalSort);
-    p.timed(simd::Phase::kCompute, [&] {
-      if (util::bit(rank, 0) == 0) {
-        localsort::radix_sort(keys, scratch);
-      } else {
-        localsort::radix_sort_descending(keys, scratch);
-      }
-    });
+    local_sort(p, keys, util::bit(rank, 0) == 0);
   }
   if (log_p == 0) return;
 
@@ -39,46 +27,19 @@ void blocked_merge_sort(simd::Proc& p, std::span<std::uint32_t> keys) {
     // Remote steps lg n + k .. lg n + 1: compare-exchange with the
     // partner differing in rank bit (step - 1 - lg n).
     for (int bit = k - 1; bit >= 0; --bit) {
-      const std::uint64_t partner = rank ^ (std::uint64_t{1} << bit);
-      // Pooled pairwise exchange: stage the whole block in the arena,
-      // read the partner's block in place — no payload vectors.  Each
-      // remote step is a "remap" of the fixed blocked strategy: a
-      // 2-processor group exchanging whole blocks (Section 3.4.2).
-      const std::uint64_t peers[1] = {partner};
-      const std::size_t sizes[1] = {keys.size()};
-      p.trace_remap(1, trace::LayoutTag::kBlocked, trace::LayoutTag::kBlocked);
-      p.open_exchange(peers, sizes, peers);
-      p.timed(simd::Phase::kPack,
-              [&] { std::copy(keys.begin(), keys.end(), p.send_slot(0).begin()); });
-      p.commit_exchange();
-      const auto other = p.recv_view(0);
-      p.timed(simd::Phase::kCompute, [&] {
-        // Element i here pairs with element i on the partner; both share
-        // all absolute-address bits except rank bit `bit`.  The node
-        // keeps the minimum iff its compare bit equals the stage's
-        // direction bit (rank bit k; 0 for the final stage since bit
-        // lg N of any address is 0).
-        const bool dir_bit = k < log_p ? util::bit(rank, k) != 0 : false;
-        const bool keep_min = (util::bit(rank, bit) != 0) == dir_bit;
-        const auto& K = kernel::active();
-        if (keep_min) {
-          K.keep_min(keys.data(), other.data(), keys.size());
-        } else {
-          K.keep_max(keys.data(), other.data(), keys.size());
-        }
-      });
+      // Element i here pairs with element i on the partner; both share
+      // all absolute-address bits except rank bit `bit`.  The node keeps
+      // the minimum iff its compare bit equals the stage's direction bit
+      // (rank bit k; 0 for the final stage since bit lg N of any address
+      // is 0).
+      const bool dir_bit = k < log_p ? util::bit(rank, k) != 0 : false;
+      exchange_keep(p, keys, rank ^ (std::uint64_t{1} << bit),
+                    (util::bit(rank, bit) != 0) == dir_bit);
     }
     // Local lg n steps of the stage: the block is a bitonic sequence;
     // [BLM+91] finishes the stage with another local radix sort in the
     // stage's merge direction.
-    p.timed(simd::Phase::kCompute, [&] {
-      const bool ascending = k == log_p || util::bit(rank, k) == 0;
-      if (ascending) {
-        localsort::radix_sort(keys, scratch);
-      } else {
-        localsort::radix_sort_descending(keys, scratch);
-      }
-    });
+    local_sort(p, keys, k == log_p || util::bit(rank, k) == 0);
   }
 }
 

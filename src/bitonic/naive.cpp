@@ -1,9 +1,7 @@
 #include <algorithm>
-#include <cassert>
-#include <vector>
 
+#include "bitonic/remap_exec.hpp"
 #include "bitonic/sorts.hpp"
-#include "kernel/kernel.hpp"
 #include "localsort/compare_exchange.hpp"
 #include "obs/profile.hpp"
 #include "util/bits.hpp"
@@ -27,33 +25,13 @@ void naive_blocked_sort(simd::Proc& p, std::span<std::uint32_t> keys) {
     for (int step = stage; step > first_local; --step) {
       const int abs_bit = step - 1;
       // Remote step: exchange the whole block with the partner differing
-      // in rank bit (abs_bit - lg n), keep the min or max half.
+      // in rank bit (abs_bit - lg n), keep the min or max half.  The
+      // direction bit of the stage is absolute bit `stage`; elements on
+      // this processor share it (it is >= lg n for the last lg P stages,
+      // and remote steps only occur there).
       const int rank_bit = abs_bit - log_n;
-      const std::uint64_t partner = rank ^ (std::uint64_t{1} << rank_bit);
-      // Pooled pairwise exchange (see blocked_merge.cpp); under the fixed
-      // blocked layout every remote step is a 2-processor whole-block
-      // exchange.
-      const std::uint64_t peers[1] = {partner};
-      const std::size_t sizes[1] = {keys.size()};
-      p.trace_remap(1, trace::LayoutTag::kBlocked, trace::LayoutTag::kBlocked);
-      p.open_exchange(peers, sizes, peers);
-      p.timed(simd::Phase::kPack,
-              [&] { std::copy(keys.begin(), keys.end(), p.send_slot(0).begin()); });
-      p.commit_exchange();
-      const auto other = p.recv_view(0);
-      p.timed(simd::Phase::kCompute, [&] {
-        // Direction bit of the stage is absolute bit `stage`; elements on
-        // this processor share it (it is >= lg n for the last lg P
-        // stages, and remote steps only occur there).
-        const bool keep_min = util::bit(rank, rank_bit) ==
-                              util::bit(blocked.abs_of(rank, 0), stage);
-        const auto& K = kernel::active();
-        if (keep_min) {
-          K.keep_min(keys.data(), other.data(), keys.size());
-        } else {
-          K.keep_max(keys.data(), other.data(), keys.size());
-        }
-      });
+      exchange_keep(p, keys, rank ^ (std::uint64_t{1} << rank_bit),
+                    util::bit(rank, rank_bit) == util::bit(blocked.abs_of(rank, 0), stage));
     }
     if (first_local >= 1) {
       p.timed(simd::Phase::kCompute, [&] {

@@ -1,6 +1,7 @@
 #include "layout/remap.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <list>
 #include <mutex>
@@ -198,37 +199,19 @@ std::size_t MaskPlan::table_bytes() const {
 
 namespace {
 
-/// FNV-1a over both layouts' bit assignments: a cheap filter in front of
-/// the full layout comparison.
-std::uint64_t pair_hash(const BitLayout& from, const BitLayout& to) {
+/// FNV-1a over the key: a cheap filter in front of the full comparison.
+std::uint64_t key_hash(std::span<const int> key) {
   std::uint64_t h = 0xcbf29ce484222325ull;
-  const auto mix = [&h](const std::vector<int>& v) {
-    for (const int x : v) h = (h ^ static_cast<std::uint64_t>(x + 1)) * 0x100000001b3ull;
-    h = (h ^ 0xffu) * 0x100000001b3ull;  // separator
-  };
-  mix(from.local_src());
-  mix(from.proc_src());
-  mix(to.local_src());
-  mix(to.proc_src());
+  for (const int x : key) h = (h ^ static_cast<std::uint64_t>(x + 1)) * 0x100000001b3ull;
   return h;
 }
 
 struct MemoEntry {
   std::uint64_t hash;
-  BitLayout from;
-  BitLayout to;
-  std::shared_ptr<const MaskPlan> plan;
-  std::size_t bytes;
+  std::vector<int> key;
+  std::shared_ptr<const void> value;
+  std::size_t bytes;  ///< the value's bytes plus this entry's bookkeeping
 };
-
-/// Bytes an entry keeps alive: its tables plus the node and both layouts
-/// (each layout holds lg N ints of bit sources and a 64-entry position map).
-std::size_t entry_bytes(const BitLayout& from, const MaskPlan& plan) {
-  const std::size_t layout_bytes =
-      sizeof(BitLayout) + sizeof(int) * (static_cast<std::size_t>(from.log_total()) + 64);
-  return plan.table_bytes() + sizeof(MaskPlan) + sizeof(MemoEntry) + 2 * layout_bytes +
-         4 * sizeof(void*);
-}
 
 struct Memo {
   std::mutex mu;
@@ -241,45 +224,64 @@ Memo& memo() {
   return m;
 }
 
-std::list<MemoEntry>::iterator find_entry(Memo& m, std::uint64_t hash, const BitLayout& from,
-                                          const BitLayout& to) {
+std::list<MemoEntry>::iterator find_entry(Memo& m, std::uint64_t hash,
+                                          std::span<const int> key) {
   return std::find_if(m.lru.begin(), m.lru.end(), [&](const MemoEntry& e) {
-    return e.hash == hash && e.from == from && e.to == to;
+    return e.hash == hash && std::equal(e.key.begin(), e.key.end(), key.begin(), key.end());
   });
 }
 
 }  // namespace
 
-std::shared_ptr<const MaskPlan> mask_plan(const BitLayout& from, const BitLayout& to) {
+std::shared_ptr<const void> shape_memo_find(std::span<const int> key) {
   Memo& m = memo();
-  const std::uint64_t hash = pair_hash(from, to);
-  {
-    std::lock_guard<std::mutex> lk(m.mu);
-    const auto it = find_entry(m, hash, from, to);
-    if (it != m.lru.end()) {
-      m.lru.splice(m.lru.begin(), m.lru, it);
-      ++m.stats.hits;
-      return it->plan;
-    }
-    ++m.stats.misses;
-  }
-  // Built outside the lock so a cold pair does not stall lookups of other
-  // pairs.  VPs that miss on the same pair at once each build a copy; the
-  // first one inserted is the one everybody keeps.
-  auto plan = std::make_shared<const MaskPlan>(build_mask_plan(from, to));
-  const std::size_t bytes = entry_bytes(from, *plan);
-  if (bytes > kMaskPlanMemoBudget) return plan;
+  const std::uint64_t hash = key_hash(key);
   std::lock_guard<std::mutex> lk(m.mu);
-  const auto it = find_entry(m, hash, from, to);
-  if (it != m.lru.end()) return it->plan;
-  m.lru.push_front({hash, from, to, plan, bytes});
+  const auto it = find_entry(m, hash, key);
+  if (it == m.lru.end()) {
+    ++m.stats.misses;
+    return nullptr;
+  }
+  m.lru.splice(m.lru.begin(), m.lru, it);
+  ++m.stats.hits;
+  return it->value;
+}
+
+std::shared_ptr<const void> shape_memo_keep(std::span<const int> key,
+                                            std::shared_ptr<const void> value,
+                                            std::size_t bytes) {
+  bytes += sizeof(MemoEntry) + 4 * sizeof(void*) + key.size() * sizeof(int);
+  if (bytes > kMaskPlanMemoBudget) return value;
+  Memo& m = memo();
+  const std::uint64_t hash = key_hash(key);
+  std::lock_guard<std::mutex> lk(m.mu);
+  const auto it = find_entry(m, hash, key);
+  if (it != m.lru.end()) return it->value;
+  m.lru.push_front({hash, {key.begin(), key.end()}, value, bytes});
   m.stats.bytes += bytes;
   while (m.stats.bytes > kMaskPlanMemoBudget) {
     m.stats.bytes -= m.lru.back().bytes;
     m.lru.pop_back();
   }
   m.stats.entries = m.lru.size();
-  return plan;
+  return value;
+}
+
+std::shared_ptr<const MaskPlan> mask_plan(const BitLayout& from, const BitLayout& to) {
+  // Key: tag 0, then the four bit-source lists, each closed by -1.
+  // Layouts cover at most 64 bits, so it fits on the stack.
+  std::array<int, 2 * 64 + 5> buf{};
+  std::size_t len = 0;
+  buf[len++] = 0;
+  for (const auto* v : {&from.local_src(), &from.proc_src(), &to.local_src(), &to.proc_src()}) {
+    for (const int x : *v) buf[len++] = x;
+    buf[len++] = -1;
+  }
+  const std::span<const int> key(buf.data(), len);
+  if (auto hit = shape_memo_find(key)) return std::static_pointer_cast<const MaskPlan>(hit);
+  auto plan = std::make_shared<const MaskPlan>(build_mask_plan(from, to));
+  const std::size_t bytes = plan->table_bytes() + sizeof(MaskPlan);
+  return std::static_pointer_cast<const MaskPlan>(shape_memo_keep(key, std::move(plan), bytes));
 }
 
 MaskPlanMemoStats mask_plan_memo_stats() {

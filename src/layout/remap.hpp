@@ -21,6 +21,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "layout/bit_layout.hpp"
@@ -112,22 +113,32 @@ struct MaskPlan {
 
 MaskPlan build_mask_plan(const BitLayout& from, const BitLayout& to);
 
-/// Byte budget of the mask_plan memo: tables plus per-entry bookkeeping
-/// (layouts, list node).  The 20 layout pairs the end-to-end benchmark
-/// touches (P=4 bulk sorts of 2^19 and 2^15 keys, P=2 service shapes of
-/// 2^14..2^18 keys) retain 3.7 MB (3,726,032 bytes); the budget keeps
-/// all of them with room for a few more shapes.
+/// Byte budget of the process-wide shape memo behind mask_plan and
+/// bitonic::remap_program: every entry's tables plus its bookkeeping.
+/// The programs the end-to-end benchmark touches (P=4 bulk sorts of
+/// 2^17 and 2^13 keys per VP, P=2 service shapes of 2^13..2^17) fit it.
 inline constexpr std::size_t kMaskPlanMemoBudget = std::size_t{8} << 20;
 
-/// The plan of build_mask_plan(from, to), shared by every caller: a
-/// thread-safe, process-wide memo keyed by the layout pair, least
+/// The process-wide shape memo: immutable values keyed by a list of
+/// ints whose first entry is a tag unique to the value type, least
 /// recently used entries evicted once the retained bytes would exceed
-/// kMaskPlanMemoBudget.  A plan larger than the whole budget is built
-/// and returned but not kept.  A hit takes one lock and allocates
-/// nothing.
+/// kMaskPlanMemoBudget.  A hit takes one lock and allocates nothing.
+/// Values are built outside the lock: look up with shape_memo_find,
+/// build on a miss, then hand the value to shape_memo_keep, which
+/// returns the copy everybody shares (the first one inserted when
+/// threads miss on the same key at once).  `bytes` is what the value
+/// keeps alive; a value larger than the whole budget is returned but not
+/// kept.
+std::shared_ptr<const void> shape_memo_find(std::span<const int> key);
+std::shared_ptr<const void> shape_memo_keep(std::span<const int> key,
+                                            std::shared_ptr<const void> value,
+                                            std::size_t bytes);
+
+/// The plan of build_mask_plan(from, to), shared by every caller through
+/// the shape memo, keyed by the layout pair.
 std::shared_ptr<const MaskPlan> mask_plan(const BitLayout& from, const BitLayout& to);
 
-/// What the memo holds right now.
+/// What the shape memo holds right now (plans and programs alike).
 struct MaskPlanMemoStats {
   std::size_t entries = 0;
   std::size_t bytes = 0;  ///< retained, as charged against kMaskPlanMemoBudget

@@ -107,12 +107,11 @@ void column_sort(simd::Proc& p, std::span<std::uint32_t> keys) {
   const auto j = static_cast<std::uint64_t>(p.rank());
   const std::uint64_t r = keys.size();
   assert(column_sort_shape_ok(r, s) && "column sort needs r >= 2 (s-1)^2");
-  std::vector<std::uint32_t> scratch;
   // Each of the eight steps is one structural span: local sorts carry
   // the step number as the arg, the communication steps are kTranspose.
   const auto sort_local = [&](std::span<std::uint32_t> v, std::int32_t step) {
     obs::ScopedSpan span(p, obs::SpanKind::kLocalSort, step);
-    p.timed(simd::Phase::kCompute, [&] { localsort::radix_sort(v, scratch); });
+    p.timed(simd::Phase::kCompute, [&] { localsort::radix_sort(v, p.scratch()); });
   };
 
   if (s == 1) {
@@ -185,7 +184,7 @@ void column_sort(simd::Proc& p, std::span<std::uint32_t> keys) {
   if (!overflow.empty()) {
     obs::ScopedSpan span(p, obs::SpanKind::kLocalSort, 7);
     p.timed(simd::Phase::kCompute,
-            [&] { localsort::radix_sort(overflow, scratch); });
+            [&] { localsort::radix_sort(overflow, p.scratch()); });
   }
 
   // Step 8: unshift — each processor's top half returns to the left

@@ -32,11 +32,11 @@ void check_message(const simd::Proc& p, std::uint64_t src, std::size_t got,
 }
 }  // namespace
 
-void parallel_radix_sort(simd::Proc& p, std::span<std::uint32_t> keys,
-                         std::vector<std::uint32_t>& scratch) {
+void parallel_radix_sort(simd::Proc& p, std::span<std::uint32_t> keys) {
   const auto P = static_cast<std::uint64_t>(p.nprocs());
   const auto me = static_cast<std::uint64_t>(p.rank());
   const std::uint64_t n = keys.size();
+  auto& scratch = p.scratch();
   if (P == 1) {
     p.timed(simd::Phase::kCompute, [&] { localsort::radix_sort(keys, scratch); });
     return;
@@ -187,11 +187,6 @@ void parallel_radix_sort(simd::Proc& p, std::span<std::uint32_t> keys,
       });
     });
   }
-}
-
-void parallel_radix_sort(simd::Proc& p, std::vector<std::uint32_t>& keys) {
-  std::vector<std::uint32_t> scratch;
-  parallel_radix_sort(p, std::span<std::uint32_t>(keys), scratch);
 }
 
 }  // namespace bsort::psort

@@ -18,10 +18,10 @@ namespace {
 /// allgathered sample, and send each splitter-delimited segment of the
 /// sorted keys to its owner.  Afterwards recv_view(src) is the sorted run
 /// src sent here (nothing is exchanged when P == 1).
-void sort_and_partition(simd::Proc& p, std::span<std::uint32_t> keys, int oversample,
-                        std::vector<std::uint32_t>& scratch) {
+void sort_and_partition(simd::Proc& p, std::span<std::uint32_t> keys, int oversample) {
   const auto P = static_cast<std::uint64_t>(p.nprocs());
   const std::uint64_t n = keys.size();
+  auto& scratch = p.scratch();
 
   // Phase 1: local sort.
   {
@@ -114,32 +114,30 @@ std::size_t received_runs(const simd::Proc& p, std::vector<localsort::Run>& runs
 /// Phase 4: p-way merge of the received runs, read in place from the
 /// pooled views (the self run is recv_view(p.rank())).
 void merge_runs(simd::Proc& p, std::span<const localsort::Run> runs,
-                std::span<std::uint32_t> out, std::vector<std::uint32_t>& scratch) {
+                std::span<std::uint32_t> out) {
   obs::ScopedSpan merge_span(p, obs::SpanKind::kMergeStage);
-  p.timed(simd::Phase::kCompute, [&] { localsort::pway_merge(runs, out, scratch); });
+  p.timed(simd::Phase::kCompute, [&] { localsort::pway_merge(runs, out, p.scratch()); });
 }
 
 }  // namespace
 
 void parallel_sample_sort(simd::Proc& p, std::vector<std::uint32_t>& keys, int oversample) {
-  std::vector<std::uint32_t> scratch;
-  sort_and_partition(p, keys, oversample, scratch);
+  sort_and_partition(p, keys, oversample);
   if (p.nprocs() == 1) return;
   // `keys` was packed into the send slots, so it can take the output.
   std::vector<localsort::Run> runs;
   keys.resize(received_runs(p, runs));
-  merge_runs(p, runs, keys, scratch);
+  merge_runs(p, runs, keys);
 }
 
 std::span<std::uint32_t> parallel_sample_sort(simd::Proc& p, std::span<std::uint32_t> all,
                                               std::span<std::size_t> part_sizes,
-                                              std::vector<std::uint32_t>& scratch,
                                               int oversample) {
   const auto P = static_cast<std::size_t>(p.nprocs());
   const auto me = static_cast<std::size_t>(p.rank());
   const std::size_t n = all.size() / P;
   const auto mine = all.subspan(me * n, n);
-  sort_and_partition(p, mine, oversample, scratch);
+  sort_and_partition(p, mine, oversample);
   if (P == 1) {
     part_sizes[0] = n;
     return mine;
@@ -163,7 +161,7 @@ std::span<std::uint32_t> parallel_sample_sort(simd::Proc& p, std::span<std::uint
                         {p.rank(), static_cast<std::int64_t>(p.comm().exchanges) - 1, -1});
   }
   const auto out = all.subspan(offset, part_sizes[me]);
-  merge_runs(p, runs, out, scratch);
+  merge_runs(p, runs, out);
   return out;
 }
 

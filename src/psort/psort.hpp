@@ -32,13 +32,9 @@ namespace bsort::psort {
 /// `keys` (same count everywhere); on return `keys` holds this
 /// processor's blocked portion of the globally sorted data (same count).
 /// Each pass: local histogram -> allgather of histograms -> all-to-all
-/// key redistribution to the globally stable digit order.
-void parallel_radix_sort(simd::Proc& p, std::vector<std::uint32_t>& keys);
-
-/// Same, in place on a span, with `scratch` (resized to keys.size() and
-/// reused across calls) as the one n-key workspace.
-void parallel_radix_sort(simd::Proc& p, std::span<std::uint32_t> keys,
-                         std::vector<std::uint32_t>& scratch);
+/// key redistribution to the globally stable digit order.  The n-key
+/// workspace is the VP's Proc::scratch.
+void parallel_radix_sort(simd::Proc& p, std::span<std::uint32_t> keys);
 
 /// Sample sort with oversampling: local radix sort, splitter selection
 /// from an allgathered sample, one all-to-all, local p-way merge.  On
@@ -53,10 +49,9 @@ void parallel_sample_sort(simd::Proc& p, std::vector<std::uint32_t>& keys,
 /// entries, shared) receives the partition sizes; the returned span is
 /// this VP's partition.  Costs one barrier more than the vector form,
 /// after which each VP merges its runs straight into its place in `all`.
-/// `scratch` is the n-key workspace, reused across calls.
+/// Both forms use the VP's Proc::scratch as their workspace.
 std::span<std::uint32_t> parallel_sample_sort(simd::Proc& p, std::span<std::uint32_t> all,
                                               std::span<std::size_t> part_sizes,
-                                              std::vector<std::uint32_t>& scratch,
                                               int oversample = 64);
 
 }  // namespace bsort::psort

@@ -20,39 +20,28 @@ SmartSchedule make_smart_schedule(int log_n, int log_p, int first_chunk) {
     throw ConfigError("make_smart_schedule: first_chunk " + std::to_string(first_chunk) +
                       " is outside [0, lg n = " + std::to_string(log_n) + "]");
   }
-  if (first_chunk == 0) first_chunk = log_n;
   SmartSchedule sched{log_n, log_p, {}};
 
   // Walk the last lg P stages.  State: the next step to execute is step s
-  // of stage lg n + k.
+  // of stage lg n + k.  The last remap (Definition 7 special case) goes
+  // back to blocked and executes the remaining s steps; every other one
+  // executes `chunk` steps, and a window crosses at most one stage
+  // boundary because chunk <= lg n < stage length.
+  int chunk = first_chunk == 0 ? log_n : first_chunk;
   int k = 1;
   int s = log_n + 1;
-  bool first = true;
-  while (true) {
-    if (k == log_p && s <= log_n) {
-      // Last remap (Definition 7 special case): back to blocked, execute
-      // the remaining s steps locally, done.
-      const auto sp = layout::smart_params(log_n, log_p, k, s);
-      sched.remaps.push_back(
-          {sp, layout::BitLayout::smart(log_n, log_p, sp), s});
-      break;
-    }
+  while (k <= log_p) {
     const auto sp = layout::smart_params(log_n, log_p, k, s);
-    const int chunk = first ? first_chunk : log_n;
-    first = false;
-    sched.remaps.push_back({sp, layout::BitLayout::smart(log_n, log_p, sp), chunk});
-    // Advance the (stage, step) cursor by `chunk` steps; a window crosses
-    // at most one stage boundary because chunk <= lg n < stage length.
-    s -= chunk;
+    const int steps = sp.kind == layout::SmartKind::kLast ? s : chunk;
+    sched.remaps.push_back({sp, layout::BitLayout::smart(log_n, log_p, sp), steps});
+    chunk = log_n;
+    s -= steps;
     if (s <= 0) {
       k += 1;
       s += log_n + k;  // continue at step (lg n + k) of the next stage
-      if (k > log_p) {
-        assert(s == log_n + k && "must finish exactly at the network's end");
-        break;
-      }
     }
   }
+  assert(s == log_n + k && "must finish exactly at the network's end");
   return sched;
 }
 

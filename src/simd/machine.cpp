@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
@@ -104,6 +103,9 @@ struct VpState {
   std::vector<std::span<const std::uint32_t>> recv_views;
   std::size_t self_slot = static_cast<std::size_t>(-1);
   bool open = false;
+
+  /// The VP's n-key working buffer (Proc::scratch).
+  std::vector<std::uint32_t> scratch;
 
   /// Receive-side heap for the native backend: collect() memcpys every
   /// non-self payload here and re-points recv_views at the copies.
@@ -711,6 +713,8 @@ void Proc::open_exchange(std::span<const std::uint64_t> send_peers,
   vp.open = true;
 }
 
+std::vector<std::uint32_t>& Proc::scratch() { return vp_->scratch; }
+
 std::span<std::uint32_t> Proc::send_slot(std::size_t i) {
   auto& vp = *vp_;
   const ErrorContext ctx{rank_, static_cast<std::int64_t>(comm_.exchanges), -1};
@@ -986,7 +990,12 @@ std::vector<std::vector<std::uint32_t>> Proc::exchange(
     std::span<const std::uint64_t> send_peers,
     std::vector<std::vector<std::uint32_t>> payloads,
     std::span<const std::uint64_t> recv_peers) {
-  assert(send_peers.size() == payloads.size());
+  if (payloads.size() != send_peers.size()) {
+    std::ostringstream os;
+    os << "exchange: send_peers/payloads length mismatch (" << send_peers.size() << " vs "
+       << payloads.size() << ")";
+    throw ExchangeError(os.str(), {rank_, static_cast<std::int64_t>(comm_.exchanges), -1});
+  }
   std::vector<std::size_t> sizes(send_peers.size());
   for (std::size_t i = 0; i < send_peers.size(); ++i) {
     // Self payload is dropped by contract (kept portion is the caller's).
@@ -1152,6 +1161,8 @@ RunReport Machine::run(const std::function<void(Proc&)>& program) {
 
   RunReport rep;
   rep.proc_us.reserve(procs.size());
+  rep.proc_phases.reserve(procs.size());
+  rep.proc_comm.reserve(procs.size());
   for (const auto& p : procs) {
     rep.proc_us.push_back(p.clock_us_);
     rep.proc_phases.push_back(p.phases_);

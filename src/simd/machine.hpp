@@ -44,7 +44,9 @@
 // recv_view) stages outgoing payloads in that arena and hands receivers
 // spans pointing directly into the senders' arenas, so a steady-state
 // remap performs zero heap allocations.  The legacy vector-based
-// exchange() is a compatibility wrapper over the pooled path.
+// exchange() is a compatibility wrapper over the pooled path.  Each VP
+// likewise owns one n-key scratch buffer (Proc::scratch) for its local
+// sorts and remap double-buffering.
 //
 // Recording: spans, exchanges and metrics (src/obs/, src/trace/)
 // --------------------------------------------------------------
@@ -269,7 +271,8 @@ class Proc {
   [[nodiscard]] std::size_t recv_view_count() const;
 
   /// All-to-all exchange (legacy vector API; wrapper over the pooled
-  /// path).  payloads[i] goes to send_peers[i]; a self entry is kept
+  /// path).  payloads[i] goes to send_peers[i] (the two lists must have
+  /// equal lengths, else ExchangeError); a self entry is kept
   /// locally (not transmitted, not charged) and its received slot comes
   /// back empty.  Returns the payloads received from recv_peers, in that
   /// order.  Charges transfer time per the machine's message mode and
@@ -283,6 +286,11 @@ class Proc {
   /// receive its payload.  Equivalent to exchange() with one peer.
   std::vector<std::uint32_t> exchange_with(std::uint64_t partner,
                                            std::vector<std::uint32_t> payload);
+
+  /// This VP's n-key working buffer (local-sort scratch, remap double
+  /// buffer), kept by the Machine across runs like the exchange arena.
+  /// Callers resize it as they need; contents do not survive a use.
+  [[nodiscard]] std::vector<std::uint32_t>& scratch();
 
   [[nodiscard]] double clock_us() const { return clock_us_; }
   [[nodiscard]] const CommStats& comm() const { return comm_; }

@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "backend/backend.hpp"
+#include "fault/error.hpp"
 #include "loggp/params.hpp"
 #include "simd/machine.hpp"
 
@@ -269,6 +270,38 @@ TEST(MachineEdge, SequentialRunsReuseMachineState) {
       EXPECT_EQ(got[0], static_cast<std::uint32_t>(round));
     });
   }
+}
+
+TEST(MachineEdge, ExchangeRejectsFewerPayloadsThanPeers) {
+  // Two send peers but one payload: the legacy exchange used to check
+  // this only with an assert and then read payloads[1] past the end.
+  Machine m = sim_machine(2, MessageMode::kLong);
+  const std::uint64_t peers[2] = {0, 1};
+  try {
+    m.run([&](Proc& p) {
+      // One clean exchange first, so the error names a nonzero ordinal.
+      p.exchange(peers, std::vector<std::vector<std::uint32_t>>(2), peers);
+      std::vector<std::vector<std::uint32_t>> payloads(1, std::vector<std::uint32_t>(4, 7));
+      p.exchange(peers, std::move(payloads), peers);
+    });
+    FAIL() << "payload/peer count mismatch was not rejected";
+  } catch (const bsort::ExchangeError& e) {
+    EXPECT_NE(std::string(e.what()).find("length mismatch (2 vs 1)"), std::string::npos)
+        << e.what();
+    EXPECT_EQ(e.context().exchange, 1);
+  }
+
+  // The same machine then serves a clean run.
+  const auto rep = m.run([&](Proc& p) {
+    std::vector<std::vector<std::uint32_t>> payloads(
+        2, std::vector<std::uint32_t>(4, static_cast<std::uint32_t>(p.rank())));
+    const auto got = p.exchange(peers, std::move(payloads), peers);
+    const auto other = static_cast<std::size_t>(1 - p.rank());
+    EXPECT_EQ(got[other], std::vector<std::uint32_t>(4, static_cast<std::uint32_t>(other)));
+    EXPECT_TRUE(got[static_cast<std::size_t>(p.rank())].empty());
+  });
+  EXPECT_EQ(rep.total_comm().exchanges, 1u);
+  EXPECT_EQ(rep.total_comm().elements_sent, 8u);
 }
 
 }  // namespace

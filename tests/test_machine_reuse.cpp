@@ -5,8 +5,9 @@
 // each config — the pool-reuse contract of api::parallel_sort_on.
 //
 // "Exactly like" is asserted on the DETERMINISTIC subset of a run:
-// sorted output, per-VP communication counters (elements/messages
-// sent), the analytic makespan ordering and the observability switches.
+// sorted output, per-VP communication counters (exchanges, elements and
+// messages sent), the analytic makespan ordering, the observability
+// switches and the recorded phase names and counts.
 // Measured compute times are host-dependent and are deliberately not
 // compared.
 #include <gtest/gtest.h>
@@ -34,9 +35,8 @@ namespace simd = bsort::simd;
 constexpr int kProcs = 8;
 constexpr std::size_t kTotal = std::size_t{1} << 12;
 
-std::vector<std::uint32_t> keys_for(std::uint64_t seed) {
-  return bsort::util::generate_keys(kTotal, bsort::util::KeyDistribution::kUniform31,
-                                    seed);
+std::vector<std::uint32_t> keys_for(std::uint64_t seed, std::size_t total = kTotal) {
+  return bsort::util::generate_keys(total, bsort::util::KeyDistribution::kUniform31, seed);
 }
 
 /// Fresh machine exactly as parallel_sort would construct it, except the
@@ -53,6 +53,8 @@ void expect_equivalent(const simd::RunReport& pooled, const simd::RunReport& fre
                        const char* what) {
   ASSERT_EQ(pooled.proc_comm.size(), fresh.proc_comm.size()) << what;
   for (std::size_t r = 0; r < pooled.proc_comm.size(); ++r) {
+    EXPECT_EQ(pooled.proc_comm[r].exchanges, fresh.proc_comm[r].exchanges)
+        << what << " rank " << r;
     EXPECT_EQ(pooled.proc_comm[r].elements_sent, fresh.proc_comm[r].elements_sent)
         << what << " rank " << r;
     EXPECT_EQ(pooled.proc_comm[r].messages_sent, fresh.proc_comm[r].messages_sent)
@@ -69,11 +71,12 @@ void expect_equivalent(const simd::RunReport& pooled, const simd::RunReport& fre
   }
 }
 
-/// Run `cfg` on the pooled machine AND on a fresh per-config machine;
-/// both must sort and agree on the deterministic subset.
+/// Run `cfg` on `total` keys on the pooled machine AND on a fresh
+/// per-config machine; both must sort and agree on the deterministic
+/// subset.
 void run_both(simd::Machine& pooled, const api::Config& cfg, std::uint64_t seed,
-              const char* what) {
-  auto keys_pooled = keys_for(seed);
+              const char* what, std::size_t total = kTotal) {
+  auto keys_pooled = keys_for(seed, total);
   auto keys_fresh = keys_pooled;
   auto want = keys_pooled;
   std::sort(want.begin(), want.end());
@@ -148,6 +151,20 @@ TEST(MachineReuse, HeterogeneousConfigInterleaveMatchesFreshMachines) {
   back.profile_spans = 2048;
   run_both(pooled, back, 55, "profiled blocked-merge back on long");
   EXPECT_EQ(pooled.mode(), simd::MessageMode::kLong);
+
+  // 5: the shape changes between calls.  Each call fetches the remap
+  // program of its own shape and resizes the VPs' scratch buffers, which
+  // a larger earlier call may have left bigger.
+  api::Config smart;
+  smart.nprocs = kProcs;
+  smart.algorithm = api::Algorithm::kSmartBitonic;
+  smart.profile_spans = 4096;
+  api::Config cyclic = smart;
+  cyclic.algorithm = api::Algorithm::kCyclicBlockedBitonic;
+  run_both(pooled, smart, 66, "smart at 2^14", std::size_t{1} << 14);
+  run_both(pooled, cyclic, 77, "cyclic-blocked at 2^12", std::size_t{1} << 12);
+  run_both(pooled, smart, 88, "smart at 2^16", std::size_t{1} << 16);
+  run_both(pooled, smart, 99, "smart at 2^14 again", std::size_t{1} << 14);
 }
 
 // Run-N defenses must not leak into run N+1: the exact regression the

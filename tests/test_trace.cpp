@@ -302,14 +302,13 @@ TEST(TraceValidation, CatchesCyclicTruncationBugAtSmallN) {
   simd::Machine m(static_cast<int>(P), loggp::meiko_cs2(), simd::MessageMode::kLong);
   m.enable_profiling();
   m.run([&](simd::Proc& p) {
-    const auto blocked = layout::BitLayout::blocked(1, 3);
-    const auto cyclic = layout::BitLayout::cyclic(1, 3);
+    // The cyclic-blocked program's first stage: blocked -> cyclic -> blocked.
+    const auto prog = bitonic::remap_program(bitonic::RemapSort::kCyclicBlocked, 1, 3);
     std::vector<std::uint32_t> keys(n, static_cast<std::uint32_t>(p.rank()));
     std::vector<std::uint32_t> scratch(n);
-    bitonic::RemapWorkspace to_cyclic, to_blocked;
     for (std::uint64_t i = 0; i < lgP; ++i) {
-      bitonic::remap_data_into(p, blocked, cyclic, keys, scratch, to_cyclic);
-      bitonic::remap_data_into(p, cyclic, blocked, scratch, keys, to_blocked);
+      bitonic::remap_data_into(p, prog->steps[0], keys, scratch);
+      bitonic::remap_data_into(p, prog->steps[1], scratch, keys);
     }
   });
 
