@@ -174,8 +174,6 @@ int main(int argc, char** argv) {
               << ", \"allocs_per_remap\": "
               << (static_cast<double>(window_allocs.load()) / remaps)
               << ", \"wall_seconds\": " << rep.wall_seconds << "},\n";
-    std::cout << "  \"concurrent_timing\": " << (m.concurrent_timing() ? "true" : "false")
-              << ",\n";
     report.add_count("steady_state/heap_allocations",
                      static_cast<double>(window_allocs.load()));
     if (window_allocs.load() != 0) {

@@ -1,7 +1,5 @@
 #include "backend/backend.hpp"
 
-#include <time.h>
-
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
@@ -9,37 +7,11 @@
 
 #include "fault/error.hpp"
 #include "loggp/cost.hpp"
+#include "util/clock.hpp"
 
 namespace bsort::backend {
 
 namespace {
-
-double mono_now_us() {
-  timespec ts{};
-  clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<double>(ts.tv_sec) * 1e6 + static_cast<double>(ts.tv_nsec) * 1e-3;
-}
-
-double thread_now_us() {
-  timespec ts{};
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) * 1e6 + static_cast<double>(ts.tv_nsec) * 1e-3;
-}
-
-/// Thread-CPU clock is preferred for measuring the copy loop: it is
-/// immune to oversubscription (P VPs share the host's cores), the same
-/// argument as the Machine's timed-section calibration.  Fall back to
-/// the monotonic clock when it ticks coarser than 1us.
-bool probe_thread_clock() {
-  timespec res{};
-  if (clock_getres(CLOCK_THREAD_CPUTIME_ID, &res) != 0) return false;
-  return res.tv_sec == 0 && res.tv_nsec <= 1000;
-}
-
-double measure_now_us() {
-  static const bool use_thread_clock = probe_thread_clock();
-  return use_thread_clock ? thread_now_us() : mono_now_us();
-}
 
 class SimulatedBackend final : public Backend {
  public:
@@ -82,7 +54,7 @@ class NativeBackend final : public Backend {
     // keep it outside the measured window.  In steady state the arena
     // has reached its high-water mark and resize touches nothing.
     recv_arena.resize(total);
-    const double t0 = measure_now_us();
+    const double t0 = util::thread_cpu_us();
     std::size_t off = 0;
     for (std::size_t i = 0; i < views.size(); ++i) {
       if (i == self_view || views[i].empty()) continue;
@@ -91,7 +63,7 @@ class NativeBackend final : public Backend {
       views[i] = {recv_arena.data() + off, views[i].size()};
       off += views[i].size();
     }
-    const double dt = measure_now_us() - t0;
+    const double dt = util::thread_cpu_us() - t0;
     // A clock hiccup (thread-CPU accounting quirks under migration) must
     // never charge negative time to the simulated clock.
     return dt > 0 ? dt : 0;

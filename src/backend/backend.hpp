@@ -12,8 +12,8 @@
 //   * kNative    — exchanges EXECUTE: each VP memcpys every non-self
 //     received payload from the sender's arena into its own persistent
 //     recv arena, and the transfer time charged to the simulated clock
-//     is the MEASURED duration of those copies (thread-CPU clock when
-//     it ticks finely enough, monotonic otherwise).  This is the
+//     is the MEASURED duration of those copies, on the thread-CPU clock
+//     every timed section uses (util/clock.hpp).  This is the
 //     measured-multicore discipline of Gerbessiotis' integer-sorting
 //     study: the same schedule, real data movement, real time.
 //

@@ -154,16 +154,12 @@ void remap_data_into(simd::Proc& p, const RemapStep& step, std::span<const std::
   obs::ScopedSpan remap_span(p, obs::SpanKind::kRemap,
                              static_cast<std::int32_t>(p.comm().exchanges));
 
-  // This rank's exchange pattern: a pack section of its own, so every
-  // remap keeps the span structure it had when the plan and the peers
-  // were looked up here.
-  const RemapStep::Peers* mine = nullptr;
-  p.timed(simd::Phase::kPack, [&] { mine = &step.peers[rank]; });
-  const auto& send_peers = mine->send;
-  const auto& recv_peers = mine->recv;
+  const RemapStep::Peers& mine = step.peers[rank];
+  const auto& send_peers = mine.send;
+  const auto& recv_peers = mine.recv;
 
   p.trace_remap(step.group_log2, step.from_tag, step.to_tag);
-  p.open_exchange(send_peers, mine->sizes, recv_peers);
+  p.open_exchange(send_peers, mine.sizes, recv_peers);
 
   // Pack into the pooled arena: memcpy runs where the plan coalesces,
   // one dispatched gather per message otherwise.

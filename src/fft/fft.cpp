@@ -1,11 +1,14 @@
 #include "fft/fft.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstring>
 #include <memory>
 #include <numbers>
+#include <sstream>
 
+#include "fault/error.hpp"
 #include "layout/bit_layout.hpp"
 #include "layout/remap.hpp"
 #include "util/bits.hpp"
@@ -23,11 +26,24 @@ Complex twiddle(std::uint64_t k, int s, bool inverse) {
   return Complex(std::cos(angle), std::sin(angle));
 }
 
-void append_complex(std::vector<std::uint32_t>& words, const Complex& c) {
+/// Store `c` as kWordsPerComplex payload words at `words`.
+void write_complex(std::uint32_t* words, const Complex& c) {
   const double parts[2] = {c.real(), c.imag()};
-  std::uint32_t buf[kWordsPerComplex];
-  std::memcpy(buf, parts, sizeof(parts));
-  words.insert(words.end(), buf, buf + kWordsPerComplex);
+  std::memcpy(words, parts, sizeof(parts));
+}
+
+/// The payload of recv view `i`, which must hold `words` words: a
+/// message resized in flight throws instead of being read past its end.
+std::span<const std::uint32_t> recv_words(const simd::Proc& p, std::size_t i,
+                                          std::size_t words) {
+  const auto msg = p.recv_view(i);
+  if (msg.size() != words) {
+    std::ostringstream os;
+    os << "fft: message " << i << " has " << msg.size() << " words, expected " << words;
+    throw ExchangeError(os.str(),
+                        {p.rank(), static_cast<std::int64_t>(p.comm().exchanges) - 1, -1});
+  }
+  return msg;
 }
 
 Complex read_complex(const std::uint32_t* words) {
@@ -56,56 +72,53 @@ void remap_complex(simd::Proc& p, const layout::BitLayout& from,
   std::shared_ptr<const layout::MaskPlan> shared;
   std::vector<std::uint64_t> send_peers;
   std::vector<std::uint64_t> recv_peers;
-  std::vector<std::vector<std::uint32_t>> payloads;
-  bool has_self = false;
-  std::size_t self_send = 0;
-  p.timed(simd::Phase::kPack, [&] { shared = layout::mask_plan(from, to); });
-  const layout::MaskPlan& plan = *shared;
+  std::vector<std::size_t> sizes;
   p.timed(simd::Phase::kPack, [&] {
-    const std::size_t G = plan.group_size();
-    const std::size_t M = plan.message_size();
+    shared = layout::mask_plan(from, to);
+    const std::size_t G = shared->group_size();
     send_peers.resize(G);
     recv_peers.resize(G);
-    payloads.resize(G);
+    sizes.resize(G);
     for (std::size_t o = 0; o < G; ++o) {
-      send_peers[o] = layout::mask_plan_dest(from, to, plan, rank, o);
-      recv_peers[o] = layout::mask_plan_src(from, to, plan, rank, o);
-      if (send_peers[o] == rank) {
-        has_self = true;
-        self_send = o;
-        continue;
-      }
-      auto& msg = payloads[o];
-      msg.reserve(M * kWordsPerComplex);
+      send_peers[o] = layout::mask_plan_dest(from, to, *shared, rank, o);
+      recv_peers[o] = layout::mask_plan_src(from, to, *shared, rank, o);
+      // The kept portion is copied straight from `in` at unpack.
+      sizes[o] = send_peers[o] == rank ? 0 : shared->message_size() * kWordsPerComplex;
+    }
+  });
+  const layout::MaskPlan& plan = *shared;
+  p.open_exchange(send_peers, sizes, recv_peers);
+  p.timed(simd::Phase::kPack, [&] {
+    for (std::size_t o = 0; o < plan.group_size(); ++o) {
+      if (send_peers[o] == rank) continue;
+      std::uint32_t* msg = p.send_slot(o).data();
       const std::uint32_t pat = plan.dest_pattern[o];
-      for (std::size_t j = 0; j < M; ++j) {
-        append_complex(msg, in[plan.kept_order[j] | pat]);
+      for (std::size_t j = 0; j < plan.message_size(); ++j) {
+        write_complex(msg + j * kWordsPerComplex, in[plan.kept_order[j] | pat]);
       }
     }
   });
-
-  auto received = p.exchange(send_peers, std::move(payloads), recv_peers);
+  p.commit_exchange();
 
   p.timed(simd::Phase::kUnpack, [&] {
     const std::size_t M = plan.message_size();
     for (std::size_t o = 0; o < plan.group_size(); ++o) {
       const std::uint32_t spat = plan.src_pattern[o];
       if (recv_peers[o] == rank) {
-        assert(has_self);
-        const std::uint32_t dpat = plan.dest_pattern[self_send];
+        const auto self = std::find(send_peers.begin(), send_peers.end(), rank);
+        assert(self != send_peers.end());
+        const std::uint32_t dpat = plan.dest_pattern[self - send_peers.begin()];
         for (std::size_t j = 0; j < M; ++j) {
           out[plan.recv_order[j] | spat] = in[plan.kept_order[j] | dpat];
         }
       } else {
-        const auto& msg = received[o];
-        assert(msg.size() == M * kWordsPerComplex);
+        const auto msg = recv_words(p, o, M * kWordsPerComplex);
         for (std::size_t j = 0; j < M; ++j) {
           out[plan.recv_order[j] | spat] = read_complex(&msg[j * kWordsPerComplex]);
         }
       }
     }
   });
-  (void)has_self;
 }
 
 /// Butterfly stage s applied to positions g = g_of(l): pairs differ in
@@ -226,12 +239,17 @@ void parallel_fft_blocked(simd::Proc& p, std::span<Complex> local, bool inverse)
   for (int s = log_n + 1; s <= logN; ++s) {
     const int rank_bit = s - 1 - log_n;
     const std::uint64_t partner = rank ^ (std::uint64_t{1} << rank_bit);
-    std::vector<std::uint32_t> payload;
+    const std::uint64_t peers[1] = {partner};
+    const std::size_t sizes[1] = {local.size() * kWordsPerComplex};
+    p.open_exchange(peers, sizes, peers);
     p.timed(simd::Phase::kPack, [&] {
-      payload.reserve(local.size() * kWordsPerComplex);
-      for (const auto& c : local) append_complex(payload, c);
+      std::uint32_t* payload = p.send_slot(0).data();
+      for (std::size_t l = 0; l < local.size(); ++l) {
+        write_complex(payload + l * kWordsPerComplex, local[l]);
+      }
     });
-    auto msg = p.exchange_with(partner, std::move(payload));
+    p.commit_exchange();
+    const auto msg = recv_words(p, 0, local.size() * kWordsPerComplex);
     p.timed(simd::Phase::kCompute, [&] {
       const bool upper = util::bit(rank, rank_bit) == 0;  // holds u
       const std::uint64_t kmask = (std::uint64_t{1} << (s - 1)) - 1;

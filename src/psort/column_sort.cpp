@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <numeric>
+#include <sstream>
 #include <vector>
 
+#include "fault/error.hpp"
 #include "localsort/radix_sort.hpp"
 #include "obs/profile.hpp"
 
@@ -17,6 +19,30 @@ bool column_sort_shape_ok(std::uint64_t keys_per_proc, std::uint64_t nprocs) {
 
 namespace {
 
+/// All P processors, the peer list of both transposes.
+std::vector<std::uint64_t> all_peers(std::uint64_t s) {
+  std::vector<std::uint64_t> peers(s);
+  std::iota(peers.begin(), peers.end(), 0);
+  return peers;
+}
+
+/// Recv view `i`, sent by `src`, which must hold the `want` keys the
+/// step assigns it: a message resized in flight throws instead of being
+/// written past the column (caught even with integrity checking off).
+std::span<const std::uint32_t> recv_keys(const simd::Proc& p, std::size_t i,
+                                         std::uint64_t src, std::uint64_t want) {
+  const auto msg = p.recv_view(i);
+  if (msg.size() != want) {
+    std::ostringstream os;
+    os << "column sort: message from vp " << src << " has " << msg.size()
+       << " keys, expected " << want;
+    throw ExchangeError(os.str(),
+                        {p.rank(), static_cast<std::int64_t>(p.comm().exchanges) - 1, -1},
+                        static_cast<std::int64_t>(src), static_cast<std::int64_t>(i));
+  }
+  return msg;
+}
+
 /// Transpose (step 2): the matrix entries are picked up column by column
 /// and set down row by row.  Element i of column j has column-major index
 /// k = j*r + i and lands at (row k/s, column k%s).
@@ -24,31 +50,32 @@ void transpose(simd::Proc& p, std::span<std::uint32_t> keys) {
   const auto s = static_cast<std::uint64_t>(p.nprocs());
   const auto j = static_cast<std::uint64_t>(p.rank());
   const std::uint64_t r = keys.size();
-  std::vector<std::uint64_t> peers(s);
-  std::iota(peers.begin(), peers.end(), 0);
-  std::vector<std::vector<std::uint32_t>> payloads(s);
-  std::vector<std::uint32_t> self;
+  // Column c sends column d every s-th element, starting at the first i
+  // with (c*r + i) % s == d.
+  const auto first = [&](std::uint64_t c, std::uint64_t d) { return (d + s - (c * r) % s) % s; };
+  const auto count = [&](std::uint64_t c, std::uint64_t d) {
+    return first(c, d) < r ? (r - 1 - first(c, d)) / s + 1 : 0;
+  };
+  const auto peers = all_peers(s);
+  std::vector<std::size_t> sizes(s);
+  for (std::uint64_t d = 0; d < s; ++d) sizes[d] = count(j, d);
+  p.open_exchange(peers, sizes, peers);
   p.timed(simd::Phase::kPack, [&] {
-    for (auto& m : payloads) m.reserve(r / s + 1);
-    for (std::uint64_t i = 0; i < r; ++i) {
-      const std::uint64_t k = j * r + i;
-      const std::uint64_t d = k % s;
-      if (d == j) {
-        self.push_back(keys[i]);
-      } else {
-        payloads[d].push_back(keys[i]);
+    for (std::uint64_t d = 0; d < s; ++d) {
+      std::uint64_t i = first(j, d);
+      for (std::uint32_t& v : p.send_slot(d)) {
+        v = keys[i];
+        i += s;
       }
     }
   });
-  auto received = p.exchange(peers, std::move(payloads), peers);
-  received[j] = std::move(self);
+  p.commit_exchange();
   p.timed(simd::Phase::kUnpack, [&] {
     // Elements from source sj land at locals (sj*r + i)/s for the
     // increasing sequence of i with (sj*r + i) % s == me.
     for (std::uint64_t sj = 0; sj < s; ++sj) {
-      const auto& msg = received[sj];
-      std::uint64_t i = (j + s - (sj * r) % s) % s;  // first i hitting column j
-      for (const std::uint32_t v : msg) {
+      std::uint64_t i = first(sj, j);
+      for (const std::uint32_t v : recv_keys(p, sj, sj, count(sj, j))) {
         keys[(sj * r + i) / s] = v;
         i += s;
       }
@@ -63,36 +90,27 @@ void untranspose(simd::Proc& p, std::span<std::uint32_t> keys) {
   const auto s = static_cast<std::uint64_t>(p.nprocs());
   const auto j = static_cast<std::uint64_t>(p.rank());
   const std::uint64_t r = keys.size();
-  std::vector<std::uint64_t> peers(s);
-  std::iota(peers.begin(), peers.end(), 0);
-  std::vector<std::vector<std::uint32_t>> payloads(s);
-  std::vector<std::uint32_t> self;
+  // m / r grows with i, so column c sends column d the contiguous rows
+  // [lo(c, d), lo(c, d+1)), lo(c, d) being the first i with i*s + c >= d*r.
+  const auto lo = [&](std::uint64_t c, std::uint64_t d) {
+    return d * r > c ? (d * r - c + s - 1) / s : 0;
+  };
+  const auto peers = all_peers(s);
+  std::vector<std::size_t> sizes(s);
+  for (std::uint64_t d = 0; d < s; ++d) sizes[d] = lo(j, d + 1) - lo(j, d);
+  p.open_exchange(peers, sizes, peers);
   p.timed(simd::Phase::kPack, [&] {
-    for (auto& m : payloads) m.reserve(r / s + 1);
-    // m = i*s + j increases with i, so each destination's elements are
-    // appended in increasing destination-local (m % r) order.
-    for (std::uint64_t i = 0; i < r; ++i) {
-      const std::uint64_t m = i * s + j;
-      const std::uint64_t d = m / r;
-      if (d == j) {
-        self.push_back(keys[i]);
-      } else {
-        payloads[d].push_back(keys[i]);
-      }
+    for (std::uint64_t d = 0; d < s; ++d) {
+      std::copy_n(keys.begin() + static_cast<std::ptrdiff_t>(lo(j, d)), sizes[d],
+                  p.send_slot(d).begin());
     }
   });
-  auto received = p.exchange(peers, std::move(payloads), peers);
-  received[j] = std::move(self);
+  p.commit_exchange();
   p.timed(simd::Phase::kUnpack, [&] {
-    // From source sj the destination rows are m % r for the increasing i
-    // with m = i*s + sj and m / r == me.
+    // From source sj the rows lo(sj, j).. land at rows (i*s + sj) % r.
     for (std::uint64_t sj = 0; sj < s; ++sj) {
-      const auto& msg = received[sj];
-      if (msg.empty()) continue;
-      // smallest i with i*s + sj in [me*r, (me+1)*r)
-      std::uint64_t i = (j * r + s - 1 - sj) / s;
-      if (i * s + sj < j * r) ++i;
-      for (const std::uint32_t v : msg) {
+      std::uint64_t i = lo(sj, j);
+      for (const std::uint32_t v : recv_keys(p, sj, sj, lo(sj, j + 1) - i)) {
         keys[(i * s + sj) % r] = v;
         ++i;
       }
@@ -139,40 +157,35 @@ void column_sort(simd::Proc& p, std::span<std::uint32_t> keys) {
   // the overflow column.
   std::vector<std::uint32_t> shifted(r);
   std::vector<std::uint32_t> overflow;
+  const auto bottom = keys.subspan(half);
+  // Each shift talks to at most one neighbor on each side.
+  const std::size_t n_right = j + 1 < s ? 1 : 0;
+  const std::size_t n_left = j > 0 ? 1 : 0;
+  const std::uint64_t right[1] = {j + 1};
+  const std::uint64_t left[1] = {j - 1};
   {
     obs::ScopedSpan span(p, obs::SpanKind::kTranspose, 6);
-    std::vector<std::uint32_t> bottom;
+    // Send the bottom half to the right neighbor; receive from the left.
+    const std::size_t size[1] = {bottom.size()};
+    p.open_exchange({right, n_right}, {size, n_right}, {left, n_left});
     p.timed(simd::Phase::kPack, [&] {
-      bottom.assign(keys.begin() + static_cast<std::ptrdiff_t>(half), keys.end());
+      if (j + 1 < s) {
+        std::copy(bottom.begin(), bottom.end(), p.send_slot(0).begin());
+      } else {
+        // Last processor: bottom half becomes the overflow column (all
+        // its keys are below the conceptual +inf pad).
+        overflow.assign(bottom.begin(), bottom.end());
+      }
     });
-    if (j + 1 < s) {
-      // Send bottom to the right neighbor; receive from the left.
-      std::vector<std::uint64_t> send{j + 1};
-      std::vector<std::vector<std::uint32_t>> payloads;
-      payloads.push_back(std::move(bottom));
-      std::vector<std::uint64_t> recv;
-      if (j > 0) recv.push_back(j - 1);
-      auto got = p.exchange(send, std::move(payloads), recv);
-      p.timed(simd::Phase::kUnpack, [&] {
-        if (j > 0) {
-          std::copy(got[0].begin(), got[0].end(), shifted.begin());
-        }
-        std::copy(keys.begin(), keys.begin() + static_cast<std::ptrdiff_t>(half),
-                  shifted.begin() + static_cast<std::ptrdiff_t>(half));
-      });
-    } else {
-      // Last processor: bottom half becomes the overflow column (all its
-      // keys are below the conceptual +inf pad).
-      overflow = std::move(bottom);
-      std::vector<std::uint64_t> send;
-      std::vector<std::uint64_t> recv{j - 1};
-      auto got = p.exchange(send, {}, recv);
-      p.timed(simd::Phase::kUnpack, [&] {
-        std::copy(got[0].begin(), got[0].end(), shifted.begin());
-        std::copy(keys.begin(), keys.begin() + static_cast<std::ptrdiff_t>(half),
-                  shifted.begin() + static_cast<std::ptrdiff_t>(half));
-      });
-    }
+    p.commit_exchange();
+    p.timed(simd::Phase::kUnpack, [&] {
+      if (j > 0) {
+        const auto got = recv_keys(p, 0, j - 1, bottom.size());
+        std::copy(got.begin(), got.end(), shifted.begin());
+      }
+      std::copy(keys.begin(), keys.begin() + static_cast<std::ptrdiff_t>(half),
+                shifted.begin() + static_cast<std::ptrdiff_t>(half));
+    });
   }
   // Step 7: sort the shifted columns.  Processor 0's top half is the
   // -inf pad, so only its real bottom half is sorted (in place).
@@ -192,29 +205,21 @@ void column_sort(simd::Proc& p, std::span<std::uint32_t> keys) {
   // processor's bottom.
   {
     obs::ScopedSpan span(p, obs::SpanKind::kTranspose, 8);
-    std::vector<std::uint32_t> top;
+    const std::size_t size[1] = {half};
+    p.open_exchange({left, n_left}, {size, n_left}, {right, n_right});
     p.timed(simd::Phase::kPack, [&] {
-      top.assign(shifted.begin(), shifted.begin() + static_cast<std::ptrdiff_t>(half));
+      if (j > 0) {
+        std::copy(shifted.begin(), shifted.begin() + static_cast<std::ptrdiff_t>(half),
+                  p.send_slot(0).begin());
+      }
     });
-    std::vector<std::uint64_t> send;
-    std::vector<std::vector<std::uint32_t>> payloads;
-    if (j > 0) {
-      send.push_back(j - 1);
-      payloads.push_back(std::move(top));
-    }
-    std::vector<std::uint64_t> recv;
-    if (j + 1 < s) recv.push_back(j + 1);
-    auto got = p.exchange(send, std::move(payloads), recv);
+    p.commit_exchange();
     p.timed(simd::Phase::kUnpack, [&] {
       std::copy(shifted.begin() + static_cast<std::ptrdiff_t>(half), shifted.end(),
                 keys.begin());
-      if (j + 1 < s) {
-        std::copy(got[0].begin(), got[0].end(),
-                  keys.begin() + static_cast<std::ptrdiff_t>(half));
-      } else {
-        std::copy(overflow.begin(), overflow.end(),
-                  keys.begin() + static_cast<std::ptrdiff_t>(half));
-      }
+      const auto got =
+          j + 1 < s ? recv_keys(p, 0, j + 1, half) : std::span<const std::uint32_t>(overflow);
+      std::copy(got.begin(), got.end(), keys.begin() + static_cast<std::ptrdiff_t>(half));
     });
   }
 }

@@ -14,11 +14,14 @@ namespace bsort::psort {
 
 namespace {
 
+/// Sample keys each VP contributes to the splitter choice.
+constexpr std::uint64_t kOversample = 64;
+
 /// Phases 1-3: sort `keys` in place, derive the splitters from an
 /// allgathered sample, and send each splitter-delimited segment of the
 /// sorted keys to its owner.  Afterwards recv_view(src) is the sorted run
 /// src sent here (nothing is exchanged when P == 1).
-void sort_and_partition(simd::Proc& p, std::span<std::uint32_t> keys, int oversample) {
+void sort_and_partition(simd::Proc& p, std::span<std::uint32_t> keys) {
   const auto P = static_cast<std::uint64_t>(p.nprocs());
   const std::uint64_t n = keys.size();
   auto& scratch = p.scratch();
@@ -37,13 +40,12 @@ void sort_and_partition(simd::Proc& p, std::span<std::uint32_t> keys, int oversa
   // P-1 splitters from the combined sample.  The allgather goes through
   // the pooled arena: every slot (self included) carries the sample, and
   // the self copy comes back as recv_view(p.rank()) with no fix-up.
-  const auto s = static_cast<std::uint64_t>(oversample);
   obs::ScopedSpan sample_span(p, obs::SpanKind::kSample);
   std::vector<std::uint32_t> my_sample;
   p.timed(simd::Phase::kCompute, [&] {
-    my_sample.reserve(s);
-    for (std::uint64_t i = 0; i < s; ++i) {
-      my_sample.push_back(keys[(i + 1) * n / (s + 1)]);
+    my_sample.reserve(kOversample);
+    for (std::uint64_t i = 0; i < kOversample; ++i) {
+      my_sample.push_back(keys[(i + 1) * n / (kOversample + 1)]);
     }
   });
   const std::vector<std::size_t> sample_sizes(P, my_sample.size());
@@ -57,7 +59,7 @@ void sort_and_partition(simd::Proc& p, std::span<std::uint32_t> keys, int oversa
   std::vector<std::uint32_t> splitters;
   p.timed(simd::Phase::kCompute, [&] {
     std::vector<std::uint32_t> all;
-    all.reserve(P * s);
+    all.reserve(P * kOversample);
     for (std::uint64_t src = 0; src < P; ++src) {
       const auto v = p.recv_view(src);
       all.insert(all.end(), v.begin(), v.end());
@@ -121,8 +123,8 @@ void merge_runs(simd::Proc& p, std::span<const localsort::Run> runs,
 
 }  // namespace
 
-void parallel_sample_sort(simd::Proc& p, std::vector<std::uint32_t>& keys, int oversample) {
-  sort_and_partition(p, keys, oversample);
+void parallel_sample_sort(simd::Proc& p, std::vector<std::uint32_t>& keys) {
+  sort_and_partition(p, keys);
   if (p.nprocs() == 1) return;
   // `keys` was packed into the send slots, so it can take the output.
   std::vector<localsort::Run> runs;
@@ -131,13 +133,12 @@ void parallel_sample_sort(simd::Proc& p, std::vector<std::uint32_t>& keys, int o
 }
 
 std::span<std::uint32_t> parallel_sample_sort(simd::Proc& p, std::span<std::uint32_t> all,
-                                              std::span<std::size_t> part_sizes,
-                                              int oversample) {
+                                              std::span<std::size_t> part_sizes) {
   const auto P = static_cast<std::size_t>(p.nprocs());
   const auto me = static_cast<std::size_t>(p.rank());
   const std::size_t n = all.size() / P;
   const auto mine = all.subspan(me * n, n);
-  sort_and_partition(p, mine, oversample);
+  sort_and_partition(p, mine);
   if (P == 1) {
     part_sizes[0] = n;
     return mine;

@@ -37,11 +37,11 @@ namespace bsort::psort {
 void parallel_radix_sort(simd::Proc& p, std::span<std::uint32_t> keys);
 
 /// Sample sort with oversampling: local radix sort, splitter selection
-/// from an allgathered sample, one all-to-all, local p-way merge.  On
-/// return `keys` holds this processor's partition (sizes vary with the
-/// key distribution; concatenating over ranks yields the sorted data).
-void parallel_sample_sort(simd::Proc& p, std::vector<std::uint32_t>& keys,
-                          int oversample = 64);
+/// from an allgathered sample (64 keys per processor), one all-to-all,
+/// local p-way merge.  On return `keys` holds this processor's
+/// partition (sizes vary with the key distribution; concatenating over
+/// ranks yields the sorted data).
+void parallel_sample_sort(simd::Proc& p, std::vector<std::uint32_t>& keys);
 
 /// Same, on an array every VP shares: VP r's input is the r-th of P
 /// equal blocks of `all`, and on return `all` holds the sorted data with
@@ -51,7 +51,6 @@ void parallel_sample_sort(simd::Proc& p, std::vector<std::uint32_t>& keys,
 /// after which each VP merges its runs straight into its place in `all`.
 /// Both forms use the VP's Proc::scratch as their workspace.
 std::span<std::uint32_t> parallel_sample_sort(simd::Proc& p, std::span<std::uint32_t> all,
-                                              std::span<std::size_t> part_sizes,
-                                              int oversample = 64);
+                                              std::span<std::size_t> part_sizes);
 
 }  // namespace bsort::psort

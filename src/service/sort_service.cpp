@@ -216,11 +216,9 @@ std::unique_ptr<simd::Machine> SortService::make_machine() const {
   auto machine = std::make_unique<simd::Machine>(
       base.nprocs, base.params, base.mode, base.cpu_scale,
       backend::make(backend::kind_from_env(base.backend)));
-  if (config_.prewarm) {
-    // First-run lazy costs (thread-pool settling, arena growth for the
-    // empty program) are paid here, not by the first request.
-    machine->run([](simd::Proc&) {});
-  }
+  // First-run lazy costs (thread-pool settling, arena growth for the
+  // empty program) are paid here, not by the first request.
+  machine->run([](simd::Proc&) {});
   return machine;
 }
 

@@ -201,10 +201,6 @@ struct ServiceConfig {
   std::size_t shard_threshold = 0;
   int shards_per_request = 2;
 
-  /// Run one empty program on every pool machine at construction so
-  /// the first real request pays no first-run warmup.
-  bool prewarm = true;
-
   // ---- self-healing ------------------------------------------------
   /// Retry schedule for retryably-failed fragments (fault/retry.hpp).
   /// `retry.max_retries` is the PER-REQUEST cap across all its

@@ -6,7 +6,6 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
 #include <exception>
 #include <memory>
 #include <mutex>
@@ -17,6 +16,7 @@
 #include "fault/error.hpp"
 #include "fault/plan.hpp"
 #include "loggp/cost.hpp"
+#include "util/clock.hpp"
 
 namespace bsort::simd {
 
@@ -43,32 +43,6 @@ namespace {
 /// unwind instead of deadlocking when a peer VP died with an exception.
 /// Caught by the worker loop; never escapes Machine::run.
 struct BarrierPoison {};
-
-double thread_now_us() {
-  timespec ts{};
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) * 1e6 + static_cast<double>(ts.tv_nsec) * 1e-3;
-}
-
-/// True when timed sections should use the per-thread CPU clock and run
-/// without serialization: the clock must tick finely enough (<= 1us)
-/// AND the host must actually be able to run VPs concurrently.  On a
-/// single-hardware-thread host there is no concurrency to unlock, and
-/// CLOCK_THREAD_CPUTIME_ID reads are real syscalls (~5x the cost of the
-/// vDSO monotonic clock), so the sharded-lock fallback is strictly
-/// cheaper there.
-bool probe_thread_clock() {
-  if (const char* env = std::getenv("BSORT_FORCE_SHARDED_TIMING")) {
-    if (env[0] == '1') return false;
-  }
-  if (const char* env = std::getenv("BSORT_FORCE_THREAD_TIMING")) {
-    if (env[0] == '1') return true;
-  }
-  if (std::thread::hardware_concurrency() < 2) return false;
-  timespec res{};
-  if (clock_getres(CLOCK_THREAD_CPUTIME_ID, &res) != 0) return false;
-  return res.tv_sec == 0 && res.tv_nsec <= 1000;
-}
 
 /// The recorder accessors' contract: while recording is off the rings
 /// are empty vectors, so indexing them would read out of bounds.
@@ -164,11 +138,10 @@ struct Machine::Impl {
     std::atomic<std::uint64_t> fires{0};
   };
 
-  explicit Impl(int nprocs, int timing_shards)
+  explicit Impl(int nprocs)
       : nprocs(nprocs),
         cells(static_cast<std::size_t>(nprocs) * static_cast<std::size_t>(nprocs)),
         vps(static_cast<std::size_t>(nprocs)),
-        timed_shards(static_cast<std::size_t>(timing_shards)),
         errors(static_cast<std::size_t>(nprocs)) {}
 
   int nprocs;
@@ -205,9 +178,6 @@ struct Machine::Impl {
   std::unique_ptr<ActiveFaults> faults;  ///< armed fault plan (null = off)
   bool timed_out = false;             ///< watchdog fired (guarded by mu)
   std::vector<BarrierTimeout::VpSnapshot> timeout_states;
-
-  bool thread_clock = false;
-  std::vector<std::mutex> timed_shards;  ///< fallback timing locks
 
   /// Execution backend pricing (simulated) or measuring (native) every
   /// exchange.  Stateless and shared: collect() is called concurrently
@@ -338,15 +308,19 @@ Machine::Machine(int nprocs, loggp::Params params, MessageMode mode, double cpu_
        << "); it multiplies every measured compute time";
     throw ConfigError(os.str());
   }
+  // Every timed section is charged this thread's CPU time; a clock
+  // that ticks coarser than 1us would round local phases away.
+  if (const long long tick = util::thread_cpu_tick_ns(); tick < 0 || tick > 1000) {
+    std::ostringstream os;
+    os << "Machine: local work is charged with the thread CPU clock, which must tick "
+          "at 1us or finer (clock_getres reports "
+       << tick << " ns; -1 = unavailable)";
+    throw ConfigError(os.str());
+  }
   if (!exec) exec = bsort::backend::make(bsort::backend::kind_from_env(
                         bsort::backend::Kind::kSimulated));
-  // Fallback shard count: no more concurrent timed sections than the
-  // host can run without cross-VP interference (at least one shard).
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  const int shards = std::max(1, std::min(nprocs, hw / 2));
-  impl_ = new Impl(nprocs, shards);
+  impl_ = new Impl(nprocs);
   impl_->backend = std::move(exec);
-  impl_->thread_clock = probe_thread_clock();
   impl_->workers.reserve(static_cast<std::size_t>(nprocs));
   for (int r = 0; r < nprocs; ++r) {
     impl_->workers.emplace_back([this, r] { impl_->worker_loop(r); });
@@ -374,8 +348,6 @@ Machine::~Machine() {
   for (auto& t : impl_->workers) t.join();
   delete impl_;
 }
-
-bool Machine::concurrent_timing() const { return impl_->thread_clock; }
 
 void Machine::enable_profiling(std::size_t spans_per_vp) {
   impl_->spans.resize(static_cast<std::size_t>(nprocs_));
@@ -448,44 +420,27 @@ double Proc::now_us() {
   return static_cast<double>(ts.tv_sec) * 1e6 + static_cast<double>(ts.tv_nsec) * 1e-3;
 }
 
-Proc::TimedToken Proc::timed_begin() {
+double Proc::timed_begin() {
   if (in_timed_) {
     throw ConfigError("nested Proc::timed sections are not allowed",
                       {rank_, static_cast<std::int64_t>(comm_.exchanges), -1});
   }
   publish_state("timed");
-  auto& impl = *machine_.impl_;
-  if (impl.thread_clock) {
-    in_timed_ = true;
-    return {thread_now_us(), -1};
-  }
-  const int shard = rank_ % static_cast<int>(impl.timed_shards.size());
-  impl.timed_shards[static_cast<std::size_t>(shard)].lock();
   in_timed_ = true;
-  return {now_us(), shard};
+  return util::thread_cpu_us();
 }
 
-double Proc::timed_end(const TimedToken& tok) {
+double Proc::timed_end(double t0) {
   in_timed_ = false;
-  if (tok.shard < 0) return thread_now_us() - tok.t0;
-  const double dt = now_us() - tok.t0;
-  machine_.impl_->timed_shards[static_cast<std::size_t>(tok.shard)].unlock();
-  return dt;
-}
-
-void Proc::timed_abort(const TimedToken& tok) {
-  in_timed_ = false;
-  if (tok.shard >= 0) {
-    machine_.impl_->timed_shards[static_cast<std::size_t>(tok.shard)].unlock();
-  }
+  return util::thread_cpu_us() - t0;
 }
 
 void Proc::check_outside_timed(const char* what) const {
   if (!in_timed_) return;
   throw ConfigError(std::string(what) +
                         " called inside a Proc::timed section (the contract forbids "
-                        "barrier/exchange/open_exchange/commit_exchange in timed f(); "
-                        "it would deadlock the sharded-timing fallback)",
+                        "barrier/open_exchange/commit_exchange in timed f(); "
+                        "the section would charge the wait as local work)",
                     {rank_, static_cast<std::int64_t>(comm_.exchanges), -1});
 }
 
@@ -533,7 +488,7 @@ int Proc::span_begin(obs::SpanKind kind, std::int32_t arg) {
   s.kind = kind;
   s.arg = arg;
   s.sim0 = clock_us_;
-  s.host0 = impl.obs_enabled ? thread_now_us() : 0;
+  s.host0 = impl.obs_enabled ? util::thread_cpu_us() : 0;
   const int tok = span_depth_++;
   publish_span_state();
   return tok;
@@ -549,7 +504,7 @@ bool Proc::pop_span(int token, obs::SpanRecord& r) {
   r.sim_begin_us = s.sim0;
   r.sim_end_us = clock_us_;
   r.host_begin_us = s.host0;
-  r.host_end_us = thread_now_us();
+  r.host_end_us = util::thread_cpu_us();
   r.arg = s.arg;
   r.kind = s.kind;
   r.depth = static_cast<std::uint8_t>(token);
@@ -591,7 +546,7 @@ void Proc::span_instant(obs::SpanKind kind, std::int32_t arg,
                         std::uint8_t fault_mask) {
   if (!machine_.impl_->obs_enabled) return;
   obs::SpanRecord r;
-  const double host = thread_now_us();
+  const double host = util::thread_cpu_us();
   r.sim_begin_us = clock_us_;
   r.sim_end_us = clock_us_;
   r.host_begin_us = host;
@@ -759,8 +714,7 @@ void Proc::commit_exchange() {
   const std::uint8_t fault_mask = impl.faults ? apply_commit_faults() : 0;
 
   // Clock-synchronizing barrier: all slots are filled and globally
-  // visible afterwards.  Equivalent to the legacy double barrier (no
-  // time is charged between the two, so the second sync was a no-op).
+  // visible afterwards.
   barrier();
 
   std::uint64_t elements = 0;
@@ -984,53 +938,6 @@ std::uint8_t Proc::apply_commit_faults() {
     }
   }
   return mask;
-}
-
-std::vector<std::vector<std::uint32_t>> Proc::exchange(
-    std::span<const std::uint64_t> send_peers,
-    std::vector<std::vector<std::uint32_t>> payloads,
-    std::span<const std::uint64_t> recv_peers) {
-  if (payloads.size() != send_peers.size()) {
-    std::ostringstream os;
-    os << "exchange: send_peers/payloads length mismatch (" << send_peers.size() << " vs "
-       << payloads.size() << ")";
-    throw ExchangeError(os.str(), {rank_, static_cast<std::int64_t>(comm_.exchanges), -1});
-  }
-  std::vector<std::size_t> sizes(send_peers.size());
-  for (std::size_t i = 0; i < send_peers.size(); ++i) {
-    // Self payload is dropped by contract (kept portion is the caller's).
-    sizes[i] = static_cast<int>(send_peers[i]) == rank_ ? 0 : payloads[i].size();
-  }
-  open_exchange(send_peers, sizes, recv_peers);
-  for (std::size_t i = 0; i < send_peers.size(); ++i) {
-    if (sizes[i] == 0) continue;
-    std::copy(payloads[i].begin(), payloads[i].end(), send_slot(i).begin());
-  }
-  commit_exchange();
-
-  std::vector<std::vector<std::uint32_t>> received(recv_peers.size());
-  for (std::size_t i = 0; i < recv_peers.size(); ++i) {
-    if (static_cast<int>(recv_peers[i]) == rank_) continue;  // empty by contract
-    const auto view = recv_view(i);
-    received[i].assign(view.begin(), view.end());
-  }
-  return received;
-}
-
-std::vector<std::uint32_t> Proc::exchange_with(std::uint64_t partner,
-                                               std::vector<std::uint32_t> payload) {
-  const std::uint64_t peers_arr[1] = {partner};
-  const std::size_t sizes_arr[1] = {
-      static_cast<int>(partner) == rank_ ? std::size_t{0} : payload.size()};
-  open_exchange(std::span<const std::uint64_t>(peers_arr, 1),
-                std::span<const std::size_t>(sizes_arr, 1),
-                std::span<const std::uint64_t>(peers_arr, 1));
-  if (sizes_arr[0] != 0) {
-    std::copy(payload.begin(), payload.end(), send_slot(0).begin());
-  }
-  commit_exchange();
-  const auto view = recv_view(0);
-  return {view.begin(), view.end()};
 }
 
 RunReport Machine::run(const std::function<void(Proc&)>& program) {

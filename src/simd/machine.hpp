@@ -17,23 +17,13 @@
 //
 // Timing calibration
 // ------------------
-// At construction the Machine probes the resolution of the per-thread
-// CPU clock (CLOCK_THREAD_CPUTIME_ID).  When the clock is fine enough
-// (<= 1us tick) and the host has at least two hardware threads, every
-// Proc::timed section is measured with the calling thread's own CPU
-// clock and runs with NO machine-wide serialization: local phases of
-// different VPs execute concurrently on the host, and each VP is still
-// charged exactly its own CPU cost (thread-CPU time is immune to
-// oversubscription of the physical cores).  When the thread clock is
-// too coarse (some platforms tick at 10ms), or the host is
-// single-threaded (no concurrency to unlock, and thread-CPU reads are
-// plain syscalls while the monotonic clock is vDSO-fast), the machine
-// falls back to sharded timing locks — rank-interleaved mutexes sized
-// to the host's core count — and monotonic measurement, limiting
-// concurrent timed sections to what the host can run without one VP's
-// measurement absorbing another VP's work.  BSORT_FORCE_SHARDED_TIMING=1
-// forces the fallback, BSORT_FORCE_THREAD_TIMING=1 forces the
-// concurrent path (both used by the stress tests).
+// Every Proc::timed section is measured with the calling thread's own
+// CPU clock (CLOCK_THREAD_CPUTIME_ID, read by util/clock.hpp) and runs
+// with no machine-wide serialization: local phases of different VPs
+// execute concurrently on the host, and each VP is still charged exactly
+// its own CPU cost (thread-CPU time is immune to oversubscription of the
+// physical cores).  The constructor throws ConfigError when that clock
+// ticks coarser than 1us; there is no second timing path.
 //
 // Execution and buffer pooling
 // ----------------------------
@@ -43,10 +33,9 @@
 // pooled exchange API (open_exchange / send_slot / commit_exchange /
 // recv_view) stages outgoing payloads in that arena and hands receivers
 // spans pointing directly into the senders' arenas, so a steady-state
-// remap performs zero heap allocations.  The legacy vector-based
-// exchange() is a compatibility wrapper over the pooled path.  Each VP
-// likewise owns one n-key scratch buffer (Proc::scratch) for its local
-// sorts and remap double-buffering.
+// remap performs zero heap allocations; it is the Machine's only
+// exchange protocol.  Each VP likewise owns one n-key scratch buffer
+// (Proc::scratch) for its local sorts and remap double-buffering.
 //
 // Recording: spans, exchanges and metrics (src/obs/, src/trace/)
 // --------------------------------------------------------------
@@ -80,10 +69,10 @@
 // Malformed protocol use fails loudly with structured bsort::Error
 // subtypes instead of UB: open_exchange validates its peer/size lists
 // (ExchangeError), barrier/exchange calls inside Proc::timed throw
-// ConfigError instead of deadlocking, and three opt-in defenses catch
-// runtime faults: enable_integrity() seals every transmitted slot with
-// a checksum at commit_exchange and verifies it at recv_view
-// (IntegrityError on mismatch, one predicted branch when off);
+// ConfigError instead of charging the wait as local work, and three
+// opt-in defenses catch runtime faults: enable_integrity() seals every
+// transmitted slot with a checksum at commit_exchange and verifies it at
+// recv_view (IntegrityError on mismatch, one predicted branch when off);
 // set_watchdog(seconds) arms a real-time monitor that poisons a stalled
 // barrier and fails the run with a BarrierTimeout carrying every VP's
 // last published state; arm_faults(plan) injects deterministic seeded
@@ -173,27 +162,26 @@ class Proc {
   /// machine's cpu_scale (used to model a slower processor than the
   /// host's, e.g. the 40 MHz SuperSparc of the Meiko CS-2).
   ///
-  /// Measured with the thread-CPU clock (concurrent across VPs) or under
-  /// a sharded timing lock when that clock is too coarse — see the
-  /// "Timing calibration" note at the top of this header.  f() must not
-  /// call barrier()/exchange()/open_exchange()/commit_exchange() (local
-  /// phases never do); doing so throws ConfigError instead of
-  /// deadlocking the machine, as does nesting timed() itself.
+  /// Measured with the calling thread's CPU clock, concurrently across
+  /// VPs — see the "Timing calibration" note at the top of this header.
+  /// f() must not call barrier()/open_exchange()/commit_exchange() (local
+  /// phases never do): the section would charge the wait as local work,
+  /// so doing so throws ConfigError, as does nesting timed() itself.
   template <class F>
   void timed(Phase phase, F&& f) {
     // The section is also a leaf profiling span (obs/spans.hpp): its
     // simulated interval closes AFTER the charge so the span's sim
     // duration equals exactly what was charged.
     const int sp = span_begin_phase(phase);
-    const TimedToken tok = timed_begin();
+    const double t0 = timed_begin();
     try {
       f();
     } catch (...) {
-      timed_abort(tok);
+      in_timed_ = false;
       span_end(sp);
       throw;
     }
-    charge(phase, timed_end(tok) * cpu_scale());
+    charge(phase, timed_end(t0) * cpu_scale());
     span_end(sp);
   }
 
@@ -230,7 +218,7 @@ class Proc {
   //
   // Protocol: open_exchange() declares the peers and per-peer payload
   // sizes and reserves slots in this VP's persistent arena (drain
-  // barrier inside — must be called collectively, like exchange());
+  // barrier inside — must be called collectively, like barrier());
   // the caller then fills each send_slot(i) (typically inside a
   // timed(kPack) section), and commit_exchange() publishes the slots,
   // charges transfer time per the machine's message mode, and makes
@@ -257,8 +245,9 @@ class Proc {
   /// Writable slot for the i-th send peer (valid after open_exchange).
   [[nodiscard]] std::span<std::uint32_t> send_slot(std::size_t i);
 
-  /// Two-phase deposit/collect with BSP clock semantics identical to the
-  /// legacy exchange(); afterwards recv_view(i) is valid.
+  /// Publish the slots behind one clock-synchronizing barrier, charge
+  /// the transfer per the machine's message mode and update CommStats;
+  /// afterwards recv_view(i) is valid.
   void commit_exchange();
 
   /// Payload received from recv_peers[i] (valid after commit_exchange,
@@ -269,23 +258,6 @@ class Proc {
   /// and exchange/remap ordinal.
   [[nodiscard]] std::span<const std::uint32_t> recv_view(std::size_t i) const;
   [[nodiscard]] std::size_t recv_view_count() const;
-
-  /// All-to-all exchange (legacy vector API; wrapper over the pooled
-  /// path).  payloads[i] goes to send_peers[i] (the two lists must have
-  /// equal lengths, else ExchangeError); a self entry is kept
-  /// locally (not transmitted, not charged) and its received slot comes
-  /// back empty.  Returns the payloads received from recv_peers, in that
-  /// order.  Charges transfer time per the machine's message mode and
-  /// updates CommStats.
-  std::vector<std::vector<std::uint32_t>> exchange(
-      std::span<const std::uint64_t> send_peers,
-      std::vector<std::vector<std::uint32_t>> payloads,
-      std::span<const std::uint64_t> recv_peers);
-
-  /// Pairwise exchange (Blocked-Merge style): send `payload` to partner,
-  /// receive its payload.  Equivalent to exchange() with one peer.
-  std::vector<std::uint32_t> exchange_with(std::uint64_t partner,
-                                           std::vector<std::uint32_t> payload);
 
   /// This VP's n-key working buffer (local-sort scratch, remap double
   /// buffer), kept by the Machine across runs like the exchange arena.
@@ -300,15 +272,10 @@ class Proc {
   static double now_us();
 
  private:
-  /// Opaque in-flight measurement: start stamp plus the timing-lock
-  /// shard held (-1 when the lock-free thread-CPU clock is in use).
-  struct TimedToken {
-    double t0;
-    int shard;
-  };
-  TimedToken timed_begin();
-  double timed_end(const TimedToken& tok);
-  void timed_abort(const TimedToken& tok);
+  /// Enter a timed section; returns its start on the thread-CPU clock.
+  double timed_begin();
+  /// Leave it; returns the thread-CPU time elapsed since `t0`.
+  double timed_end(double t0);
 
   /// Leaf span for a timed section: kind derived from the phase, the
   /// upcoming exchange ordinal as the arg.
@@ -383,7 +350,8 @@ class Machine {
   ///
   /// A non-positive (or NaN) cpu_scale and an nprocs < 1 throw
   /// ConfigError — in Release they used to sail through an assert and
-  /// corrupt every subsequent charge.
+  /// corrupt every subsequent charge.  So does a thread CPU clock that
+  /// ticks coarser than 1us (see "Timing calibration").
   ///
   /// The exchange path runs on `exec`; passing null (and the
   /// four-argument form) resolves the backend from the BSORT_BACKEND
@@ -421,10 +389,6 @@ class Machine {
   void set_cpu_scale(double cpu_scale);
   /// The execution backend pricing (or measuring) every exchange.
   [[nodiscard]] const bsort::backend::Backend& backend() const;
-
-  /// True when timed sections use the lock-free per-thread CPU clock
-  /// (see "Timing calibration"); false in the sharded-lock fallback.
-  [[nodiscard]] bool concurrent_timing() const;
 
   // ---- Recording (src/obs/, src/trace/) -----------------------------
   //

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 
 #include "bitonic/sorts.hpp"
 #include "test_helpers.hpp"
@@ -73,12 +74,25 @@ TEST(ColumnSort, AgreesWithSmartBitonic) {
 TEST(ColumnSort, CommunicationStepCount) {
   // Column sort has exactly four communication phases (two of them
   // all-to-all); our implementation issues 4 exchanges per processor.
-  auto keys = util::generate_keys(1u << 10, KeyDistribution::kUniform31, 1);
-  const auto rep = run_blocked_spmd(
-      keys, 8, simd::MessageMode::kLong,
-      [](simd::Proc& p, std::span<std::uint32_t> s) { column_sort(p, s); });
-  for (const auto& c : rep.proc_comm) {
-    EXPECT_EQ(c.exchanges, 4u);
+  // Each transpose sends the r - r/s keys bound for the other columns in
+  // s - 1 messages; each shift sends half a column in one message,
+  // except from the edge processor (the last one down, the first up).
+  for (const auto& [total, P] : {std::pair{1u << 8, 4}, std::pair{1u << 10, 8},
+                                 std::pair{1u << 13, 16}, std::pair{1u << 7, 2}}) {
+    auto keys = util::generate_keys(total, KeyDistribution::kUniform31, 1);
+    const auto rep = run_blocked_spmd(
+        keys, P, simd::MessageMode::kLong,
+        [](simd::Proc& p, std::span<std::uint32_t> s) { column_sort(p, s); });
+    const std::uint64_t s = static_cast<std::uint64_t>(P);
+    const std::uint64_t r = total / s;
+    ASSERT_EQ(rep.proc_comm.size(), s);
+    for (std::uint64_t j = 0; j < s; ++j) {
+      const auto& c = rep.proc_comm[j];
+      const std::uint64_t shifts = (j + 1 < s ? 1 : 0) + (j > 0 ? 1 : 0);
+      EXPECT_EQ(c.exchanges, 4u) << "P " << P << " vp " << j;
+      EXPECT_EQ(c.elements_sent, 2 * (r - r / s) + shifts * (r / 2)) << "P " << P << " vp " << j;
+      EXPECT_EQ(c.messages_sent, 2 * (s - 1) + shifts) << "P " << P << " vp " << j;
+    }
   }
 }
 

@@ -138,6 +138,19 @@ TEST(ParallelFft, RemapVersionCommunicatesLessThanBlocked) {
   EXPECT_EQ(remap.total_comm().exchanges, 3u);
   EXPECT_EQ(blocked.total_comm().exchanges, 1u + 3u);  // lg 8 = 3
   EXPECT_LT(remap.total_comm().elements_sent, blocked.total_comm().elements_sent);
+  // Per VP, in 32-bit words (4 per complex): each all-to-all remap sends
+  // the (P-1)/P of the slice bound for other processors in P - 1
+  // messages; each blocked remote stage sends the whole slice in one.
+  const std::uint64_t words = n * 4;
+  const std::uint64_t remap_v = words - words / P;
+  for (int r = 0; r < P; ++r) {
+    const auto& rc = remap.proc_comm[static_cast<std::size_t>(r)];
+    EXPECT_EQ(rc.elements_sent, 3 * remap_v) << "vp " << r;
+    EXPECT_EQ(rc.messages_sent, 3u * (P - 1)) << "vp " << r;
+    const auto& bc = blocked.proc_comm[static_cast<std::size_t>(r)];
+    EXPECT_EQ(bc.elements_sent, remap_v + 3 * words) << "vp " << r;
+    EXPECT_EQ(bc.messages_sent, (P - 1) + 3u) << "vp " << r;
+  }
 }
 
 TEST(ParallelFft, ParsevalHolds) {

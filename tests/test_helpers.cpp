@@ -1,10 +1,21 @@
 #include "test_helpers.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 #include "loggp/params.hpp"
 
 namespace bsort::testing {
+
+std::span<const std::uint32_t> swap_with(simd::Proc& p, std::uint64_t partner,
+                                         std::span<const std::uint32_t> payload) {
+  const std::uint64_t peers[1] = {partner};
+  const std::size_t sizes[1] = {payload.size()};
+  p.open_exchange(peers, sizes, peers);
+  std::copy(payload.begin(), payload.end(), p.send_slot(0).begin());
+  p.commit_exchange();
+  return p.recv_view(0);
+}
 
 simd::RunReport run_blocked_spmd(
     std::vector<std::uint32_t>& keys, int nprocs, simd::MessageMode mode,

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "obs/spans.hpp"
@@ -35,6 +36,12 @@ std::vector<std::uint32_t> run_vector_spmd(
 std::vector<std::uint32_t> run_vector_spmd_on(
     simd::Machine& machine, const std::vector<std::uint32_t>& keys, simd::RunReport& report,
     const std::function<void(simd::Proc&, std::vector<std::uint32_t>&)>& body);
+
+/// One pooled pairwise exchange: stage `payload` for `partner` and
+/// return the view of what `partner` sent (valid until the next
+/// open_exchange).  Collective, like every exchange.
+std::span<const std::uint32_t> swap_with(simd::Proc& p, std::uint64_t partner,
+                                         std::span<const std::uint32_t> payload);
 
 /// The kExchange records of one VP's ring, oldest first.
 std::vector<obs::SpanRecord> exchange_records(const obs::VpSpans& ring);

@@ -8,9 +8,12 @@
 #include "backend/backend.hpp"
 #include "loggp/cost.hpp"
 #include "loggp/params.hpp"
+#include "test_helpers.hpp"
 
 namespace bsort::simd {
 namespace {
+
+using testing::swap_with;
 
 /// Tests asserting exact analytic charges pin the simulated backend:
 /// under BSORT_BACKEND=native (the native CI leg) the transfer charge
@@ -46,19 +49,24 @@ TEST(Machine, ExchangeDeliversPayloads) {
   const int P = 4;
   Machine m(P, loggp::meiko_cs2(), MessageMode::kLong);
   m.run([&](Proc& p) {
-    // Everyone sends its rank repeated (rank+1) times to every peer.
+    // Everyone sends its rank repeated (rank+1) times to every other
+    // peer and stages nothing for itself.
     std::vector<std::uint64_t> peers(P);
     std::iota(peers.begin(), peers.end(), 0);
-    std::vector<std::vector<std::uint32_t>> payloads(P);
+    std::vector<std::size_t> sizes(P, static_cast<std::size_t>(p.rank()) + 1);
+    sizes[static_cast<std::size_t>(p.rank())] = 0;
+    p.open_exchange(peers, sizes, peers);
     for (int d = 0; d < P; ++d) {
-      payloads[static_cast<std::size_t>(d)].assign(
-          static_cast<std::size_t>(p.rank()) + 1, static_cast<std::uint32_t>(p.rank()));
+      auto slot = p.send_slot(static_cast<std::size_t>(d));
+      std::fill(slot.begin(), slot.end(), static_cast<std::uint32_t>(p.rank()));
     }
-    auto rec = p.exchange(peers, std::move(payloads), peers);
+    p.commit_exchange();
+    EXPECT_TRUE(p.recv_view(static_cast<std::size_t>(p.rank())).empty());
     for (int s = 0; s < P; ++s) {
-      if (s == p.rank()) continue;  // self slot is empty by contract
-      ASSERT_EQ(rec[static_cast<std::size_t>(s)].size(), static_cast<std::size_t>(s) + 1);
-      for (const auto v : rec[static_cast<std::size_t>(s)]) {
+      if (s == p.rank()) continue;
+      const auto rec = p.recv_view(static_cast<std::size_t>(s));
+      ASSERT_EQ(rec.size(), static_cast<std::size_t>(s) + 1);
+      for (const auto v : rec) {
         EXPECT_EQ(v, static_cast<std::uint32_t>(s));
       }
     }
@@ -68,8 +76,8 @@ TEST(Machine, ExchangeDeliversPayloads) {
 TEST(Machine, ExchangeWithPartner) {
   Machine m(2, loggp::meiko_cs2(), MessageMode::kLong);
   m.run([&](Proc& p) {
-    std::vector<std::uint32_t> payload{static_cast<std::uint32_t>(p.rank() + 10)};
-    auto got = p.exchange_with(static_cast<std::uint64_t>(1 - p.rank()), std::move(payload));
+    const std::uint32_t payload[1] = {static_cast<std::uint32_t>(p.rank() + 10)};
+    const auto got = swap_with(p, static_cast<std::uint64_t>(1 - p.rank()), payload);
     ASSERT_EQ(got.size(), 1u);
     EXPECT_EQ(got[0], static_cast<std::uint32_t>((1 - p.rank()) + 10));
   });
@@ -79,8 +87,8 @@ TEST(Machine, LongModeChargesLogGPFormula) {
   const auto params = loggp::meiko_cs2();
   Machine m = sim_machine(2, params, MessageMode::kLong);
   auto rep = m.run([&](Proc& p) {
-    std::vector<std::uint32_t> payload(100, 1);
-    p.exchange_with(static_cast<std::uint64_t>(1 - p.rank()), std::move(payload));
+    const std::vector<std::uint32_t> payload(100, 1);
+    swap_with(p, static_cast<std::uint64_t>(1 - p.rank()), payload);
   });
   const double expected = loggp::remap_time_long(params, 100, 1, 4);
   for (const auto& ph : rep.proc_phases) {
@@ -96,8 +104,8 @@ TEST(Machine, ShortModeChargesPerElement) {
   const auto params = loggp::meiko_cs2();
   Machine m = sim_machine(2, params, MessageMode::kShort);
   auto rep = m.run([&](Proc& p) {
-    std::vector<std::uint32_t> payload(50, 1);
-    p.exchange_with(static_cast<std::uint64_t>(1 - p.rank()), std::move(payload));
+    const std::vector<std::uint32_t> payload(50, 1);
+    swap_with(p, static_cast<std::uint64_t>(1 - p.rank()), payload);
   });
   const double expected = loggp::remap_time_short(params, 50);
   for (const auto& ph : rep.proc_phases) {
@@ -169,7 +177,8 @@ TEST(Machine, ThrowingVpUnwindsPeersInsideExchange) {
   EXPECT_THROW(m.run([&](Proc& p) {
                  if (p.rank() == 0) throw std::runtime_error("early exit");
                  const auto partner = static_cast<std::uint64_t>(p.rank() ^ 1);
-                 p.exchange_with(partner, {1u, 2u, 3u});
+                 const std::uint32_t payload[3] = {1u, 2u, 3u};
+                 swap_with(p, partner, payload);
                }),
                std::runtime_error);
 }
@@ -186,8 +195,8 @@ TEST(Machine, MachineUsableAfterThrow) {
     // The poisoned barrier must be fully reset: a healthy run on the
     // same Machine still exchanges and reports correctly.
     auto rep = m.run([&](Proc& p) {
-      auto got = p.exchange_with(static_cast<std::uint64_t>(p.rank() ^ 1),
-                                 {static_cast<std::uint32_t>(p.rank())});
+      const std::uint32_t payload[1] = {static_cast<std::uint32_t>(p.rank())};
+      const auto got = swap_with(p, static_cast<std::uint64_t>(p.rank() ^ 1), payload);
       ASSERT_EQ(got.size(), 1u);
       EXPECT_EQ(got[0], static_cast<std::uint32_t>(p.rank() ^ 1));
     });

@@ -2,23 +2,17 @@
 // payloads, repeated barriers, clock monotonicity, cpu scaling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
-#include "backend/backend.hpp"
-#include "fault/error.hpp"
 #include "loggp/params.hpp"
 #include "simd/machine.hpp"
+#include "test_helpers.hpp"
 
 namespace bsort::simd {
 namespace {
 
-/// Tests comparing exact analytic charges pin the simulated backend
-/// (see test_machine.cpp): measured native times are not reproducible
-/// across runs, let alone equal to the closed forms.
-Machine sim_machine(int nprocs, MessageMode mode) {
-  return Machine(nprocs, loggp::meiko_cs2(), mode, 1.0,
-                 backend::make_simulated());
-}
+using testing::swap_with;
 
 TEST(MachineEdge, AsymmetricExchange) {
   // A ring: everyone sends only to (rank+1) % P and receives only from
@@ -28,14 +22,15 @@ TEST(MachineEdge, AsymmetricExchange) {
   m.run([&](Proc& p) {
     const auto next = static_cast<std::uint64_t>((p.rank() + 1) % P);
     const auto prev = static_cast<std::uint64_t>((p.rank() + P - 1) % P);
-    std::vector<std::uint64_t> send{next};
-    std::vector<std::uint64_t> recv{prev};
-    std::vector<std::vector<std::uint32_t>> payloads(1);
-    payloads[0] = {static_cast<std::uint32_t>(p.rank() * 100)};
-    auto got = p.exchange(send, std::move(payloads), recv);
-    ASSERT_EQ(got.size(), 1u);
-    ASSERT_EQ(got[0].size(), 1u);
-    EXPECT_EQ(got[0][0], static_cast<std::uint32_t>(prev * 100));
+    const std::uint64_t send[1] = {next};
+    const std::uint64_t recv[1] = {prev};
+    const std::size_t sizes[1] = {1};
+    p.open_exchange(send, sizes, recv);
+    p.send_slot(0)[0] = static_cast<std::uint32_t>(p.rank() * 100);
+    p.commit_exchange();
+    ASSERT_EQ(p.recv_view_count(), 1u);
+    ASSERT_EQ(p.recv_view(0).size(), 1u);
+    EXPECT_EQ(p.recv_view(0)[0], static_cast<std::uint32_t>(prev * 100));
   });
 }
 
@@ -45,16 +40,19 @@ TEST(MachineEdge, EmptySendStillReceives) {
   Machine m(P, loggp::meiko_cs2(), MessageMode::kLong);
   m.run([&](Proc& p) {
     if (p.rank() == 0) {
-      std::vector<std::uint64_t> send{1, 2, 3};
-      std::vector<std::vector<std::uint32_t>> payloads(3, {7u});
-      std::vector<std::uint64_t> recv;
-      p.exchange(send, std::move(payloads), recv);
+      const std::uint64_t send[3] = {1, 2, 3};
+      const std::size_t sizes[3] = {1, 1, 1};
+      p.open_exchange(send, sizes, {});
+      for (std::size_t i = 0; i < 3; ++i) p.send_slot(i)[0] = 7u;
+      p.commit_exchange();
     } else {
-      std::vector<std::uint64_t> send;
-      std::vector<std::uint64_t> recv{0};
-      auto got = p.exchange(send, {}, recv);
-      ASSERT_EQ(got.size(), 1u);
-      EXPECT_EQ(got[0], (std::vector<std::uint32_t>{7u}));
+      const std::uint64_t recv[1] = {0};
+      p.open_exchange({}, {}, recv);
+      p.commit_exchange();
+      ASSERT_EQ(p.recv_view_count(), 1u);
+      const auto got = p.recv_view(0);
+      EXPECT_EQ(std::vector<std::uint32_t>(got.begin(), got.end()),
+                (std::vector<std::uint32_t>{7u}));
     }
   });
 }
@@ -62,8 +60,8 @@ TEST(MachineEdge, EmptySendStillReceives) {
 TEST(MachineEdge, ZeroElementExchangeChargesNothing) {
   Machine m(2, loggp::meiko_cs2(), MessageMode::kLong);
   auto rep = m.run([&](Proc& p) {
-    std::vector<std::uint64_t> none;
-    p.exchange(none, {}, none);
+    p.open_exchange({}, {}, {});
+    p.commit_exchange();
   });
   for (const auto& ph : rep.proc_phases) {
     EXPECT_DOUBLE_EQ(ph.transfer(), 0.0);
@@ -90,11 +88,12 @@ TEST(MachineEdge, ClockIsMonotoneThroughExchanges) {
   m.run([&](Proc& p) {
     double last = p.clock_us();
     for (int round = 0; round < 5; ++round) {
-      std::vector<std::uint64_t> peers{static_cast<std::uint64_t>((p.rank() + 1) % 4)};
-      std::vector<std::uint64_t> from{static_cast<std::uint64_t>((p.rank() + 3) % 4)};
-      std::vector<std::vector<std::uint32_t>> payloads(1,
-                                                       std::vector<std::uint32_t>(10, 1));
-      p.exchange(peers, std::move(payloads), from);
+      const std::uint64_t peers[1] = {static_cast<std::uint64_t>((p.rank() + 1) % 4)};
+      const std::uint64_t from[1] = {static_cast<std::uint64_t>((p.rank() + 3) % 4)};
+      const std::size_t sizes[1] = {10};
+      p.open_exchange(peers, sizes, from);
+      std::fill_n(p.send_slot(0).begin(), 10, 1u);
+      p.commit_exchange();
       EXPECT_GE(p.clock_us(), last);
       last = p.clock_us();
     }
@@ -165,53 +164,6 @@ TEST(MachineEdge, PooledExchangeDeliversViews) {
   });
 }
 
-TEST(MachineEdge, PooledChargesMatchLegacyExchange) {
-  // Transfer charging is analytic, so the pooled protocol must produce
-  // bit-identical charges and CommStats to the legacy vector API for
-  // the same communication pattern.
-  const int P = 4;
-  const std::size_t kMsg = 64;
-  const auto run_legacy = [&](MessageMode mode) {
-    Machine m = sim_machine(P, mode);
-    return m.run([&](Proc& p) {
-      std::vector<std::uint64_t> peers(P);
-      std::iota(peers.begin(), peers.end(), 0);
-      std::vector<std::vector<std::uint32_t>> payloads(
-          P, std::vector<std::uint32_t>(kMsg, 1u));
-      p.exchange(peers, std::move(payloads), peers);
-    });
-  };
-  const auto run_pooled = [&](MessageMode mode) {
-    Machine m = sim_machine(P, mode);
-    return m.run([&](Proc& p) {
-      std::vector<std::uint64_t> peers(P);
-      std::iota(peers.begin(), peers.end(), 0);
-      std::vector<std::size_t> sizes(P, kMsg);
-      p.open_exchange(peers, sizes, peers);
-      for (int d = 0; d < P; ++d) {
-        auto slot = p.send_slot(static_cast<std::size_t>(d));
-        std::fill(slot.begin(), slot.end(), 1u);
-      }
-      p.commit_exchange();
-    });
-  };
-  for (const auto mode : {MessageMode::kLong, MessageMode::kShort}) {
-    const auto legacy = run_legacy(mode);
-    const auto pooled = run_pooled(mode);
-    ASSERT_EQ(legacy.proc_phases.size(), pooled.proc_phases.size());
-    for (int r = 0; r < P; ++r) {
-      const auto idx = static_cast<std::size_t>(r);
-      EXPECT_DOUBLE_EQ(legacy.proc_phases[idx].transfer(),
-                       pooled.proc_phases[idx].transfer());
-    }
-    const auto lc = legacy.total_comm();
-    const auto pc = pooled.total_comm();
-    EXPECT_EQ(lc.exchanges, pc.exchanges);
-    EXPECT_EQ(lc.elements_sent, pc.elements_sent);
-    EXPECT_EQ(lc.messages_sent, pc.messages_sent);
-  }
-}
-
 TEST(MachineEdge, PooledViewsValidUntilNextOpen) {
   // Views point into the senders' arenas; they must survive until the
   // next open_exchange() (which drains readers before reusing arenas).
@@ -264,44 +216,12 @@ TEST(MachineEdge, SequentialRunsReuseMachineState) {
   Machine m(2, loggp::meiko_cs2(), MessageMode::kLong);
   for (int round = 0; round < 3; ++round) {
     m.run([&](Proc& p) {
-      auto got = p.exchange_with(static_cast<std::uint64_t>(1 - p.rank()),
-                                 {static_cast<std::uint32_t>(round)});
+      const std::uint32_t payload[1] = {static_cast<std::uint32_t>(round)};
+      const auto got = swap_with(p, static_cast<std::uint64_t>(1 - p.rank()), payload);
       ASSERT_EQ(got.size(), 1u);
       EXPECT_EQ(got[0], static_cast<std::uint32_t>(round));
     });
   }
-}
-
-TEST(MachineEdge, ExchangeRejectsFewerPayloadsThanPeers) {
-  // Two send peers but one payload: the legacy exchange used to check
-  // this only with an assert and then read payloads[1] past the end.
-  Machine m = sim_machine(2, MessageMode::kLong);
-  const std::uint64_t peers[2] = {0, 1};
-  try {
-    m.run([&](Proc& p) {
-      // One clean exchange first, so the error names a nonzero ordinal.
-      p.exchange(peers, std::vector<std::vector<std::uint32_t>>(2), peers);
-      std::vector<std::vector<std::uint32_t>> payloads(1, std::vector<std::uint32_t>(4, 7));
-      p.exchange(peers, std::move(payloads), peers);
-    });
-    FAIL() << "payload/peer count mismatch was not rejected";
-  } catch (const bsort::ExchangeError& e) {
-    EXPECT_NE(std::string(e.what()).find("length mismatch (2 vs 1)"), std::string::npos)
-        << e.what();
-    EXPECT_EQ(e.context().exchange, 1);
-  }
-
-  // The same machine then serves a clean run.
-  const auto rep = m.run([&](Proc& p) {
-    std::vector<std::vector<std::uint32_t>> payloads(
-        2, std::vector<std::uint32_t>(4, static_cast<std::uint32_t>(p.rank())));
-    const auto got = p.exchange(peers, std::move(payloads), peers);
-    const auto other = static_cast<std::size_t>(1 - p.rank());
-    EXPECT_EQ(got[other], std::vector<std::uint32_t>(4, static_cast<std::uint32_t>(other)));
-    EXPECT_TRUE(got[static_cast<std::size_t>(p.rank())].empty());
-  });
-  EXPECT_EQ(rep.total_comm().exchanges, 1u);
-  EXPECT_EQ(rep.total_comm().elements_sent, 8u);
 }
 
 }  // namespace

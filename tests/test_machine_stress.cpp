@@ -1,6 +1,6 @@
 // Barrier-protocol stress: many VPs, randomized per-VP host delays, and
-// repeated run() calls on one Machine, mixing the pooled exchange API
-// with the legacy vector API.  The assertions are deliberately about
+// repeated run() calls on one Machine, mixing all-to-all and pairwise
+// pooled exchanges.  The assertions are deliberately about
 // protocol correctness (right payloads, right sizes, machine reusable),
 // not timing; the interesting part is what ThreadSanitizer sees.  Build
 // with -DBSORT_SANITIZE=thread and run this binary to validate the
@@ -8,13 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdlib>
 #include <numeric>
 #include <random>
 #include <thread>
 
 #include "loggp/params.hpp"
 #include "simd/machine.hpp"
+#include "test_helpers.hpp"
 
 namespace bsort::simd {
 namespace {
@@ -56,13 +56,13 @@ TEST(MachineStress, RepeatedRunsRandomDelaysAllToAll) {
           }
         }
 
-        // Interleave the legacy vector API on even steps (exercises the
-        // wrapper's interaction with the shared arena/mailbox).
+        // Interleave a pairwise exchange on even steps (a different
+        // pattern reusing the same arenas and mailbox cells).
         if (step % 2 == 0) {
           const auto partner = static_cast<std::uint64_t>(p.rank() ^ 1);
-          auto got = p.exchange_with(
-              partner, {static_cast<std::uint32_t>(p.rank()),
-                        static_cast<std::uint32_t>(step)});
+          const std::uint32_t payload[2] = {static_cast<std::uint32_t>(p.rank()),
+                                            static_cast<std::uint32_t>(step)};
+          const auto got = testing::swap_with(p, partner, payload);
           ASSERT_EQ(got.size(), 2u);
           ASSERT_EQ(got[0], static_cast<std::uint32_t>(partner));
           ASSERT_EQ(got[1], static_cast<std::uint32_t>(step));
@@ -71,7 +71,7 @@ TEST(MachineStress, RepeatedRunsRandomDelaysAllToAll) {
       }
     });
     EXPECT_EQ(rep.proc_us.size(), static_cast<std::size_t>(P));
-    // 10 pooled + 5 legacy exchanges per VP per run.
+    // 10 all-to-all + 5 pairwise exchanges per VP per run.
     for (const auto& c : rep.proc_comm) EXPECT_EQ(c.exchanges, 15u);
   }
 }
@@ -121,79 +121,6 @@ TEST(MachineStress, PoisonUnderLoadThenRecover) {
       }
     });
   }
-}
-
-TEST(MachineStress, ShardedTimingFallback) {
-  // Force the coarse-clock fallback path (sharded timing locks +
-  // monotonic measurement) and make sure timed sections still charge
-  // and the protocol still completes.
-  setenv("BSORT_FORCE_SHARDED_TIMING", "1", 1);
-  Machine m(8, loggp::meiko_cs2(), MessageMode::kLong);
-  unsetenv("BSORT_FORCE_SHARDED_TIMING");
-  EXPECT_FALSE(m.concurrent_timing());
-
-  auto rep = m.run([&](Proc& p) {
-    for (int step = 0; step < 5; ++step) {
-      p.timed(Phase::kCompute, [] {
-        volatile double sink = 0;
-        double acc = 0;
-        for (int i = 0; i < 50000; ++i) acc += static_cast<double>(i);
-        sink = acc;
-        (void)sink;
-      });
-      // The timed section must be fully closed before the barrier (the
-      // shard lock may not be held across it); this ordering is exactly
-      // what the exchange call sites rely on.
-      const auto partner = static_cast<std::uint64_t>(p.rank() ^ 1);
-      p.exchange_with(partner, {static_cast<std::uint32_t>(step)});
-    }
-  });
-  for (const auto& ph : rep.proc_phases) EXPECT_GT(ph.compute(), 0.0);
-}
-
-TEST(MachineStress, ThreadTimingForced) {
-  // Exercise the lock-free thread-CPU timing path regardless of what
-  // the probe would pick on this host (single-core CI boxes default to
-  // the sharded fallback).
-  setenv("BSORT_FORCE_THREAD_TIMING", "1", 1);
-  Machine m(8, loggp::meiko_cs2(), MessageMode::kLong);
-  unsetenv("BSORT_FORCE_THREAD_TIMING");
-  EXPECT_TRUE(m.concurrent_timing());
-
-  auto rep = m.run([&](Proc& p) {
-    for (int step = 0; step < 5; ++step) {
-      p.timed(Phase::kCompute, [] {
-        volatile double sink = 0;
-        double acc = 0;
-        for (int i = 0; i < 50000; ++i) acc += static_cast<double>(i);
-        sink = acc;
-        (void)sink;
-      });
-      const auto partner = static_cast<std::uint64_t>(p.rank() ^ 1);
-      p.exchange_with(partner, {static_cast<std::uint32_t>(step)});
-    }
-  });
-  for (const auto& ph : rep.proc_phases) EXPECT_GT(ph.compute(), 0.0);
-}
-
-TEST(MachineStress, DefaultTimingIsConcurrentWhenClockIsFine) {
-  // On multicore hosts with a fine-grained CLOCK_THREAD_CPUTIME_ID
-  // (virtually all Linux kernels: 1ns resolution) the machine must pick
-  // the lock-free path.  Single-threaded hosts deliberately fall back
-  // to sharded timing (nothing to run concurrently); skip quietly when
-  // the clock really is coarse.
-  if (std::thread::hardware_concurrency() < 2) {
-    Machine m(4, loggp::meiko_cs2(), MessageMode::kLong);
-    EXPECT_FALSE(m.concurrent_timing());
-    return;
-  }
-  timespec res{};
-  if (clock_getres(CLOCK_THREAD_CPUTIME_ID, &res) != 0 ||
-      res.tv_sec != 0 || res.tv_nsec > 1000) {
-    GTEST_SKIP() << "host thread clock too coarse";
-  }
-  Machine m(4, loggp::meiko_cs2(), MessageMode::kLong);
-  EXPECT_TRUE(m.concurrent_timing());
 }
 
 }  // namespace

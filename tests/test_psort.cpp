@@ -264,6 +264,34 @@ TEST(PsortFault, ResizedRadixMessageThrowsBeforeItIsRead) {
   }
 }
 
+TEST(PsortFault, ResizedColumnMessageThrowsBeforeItIsRead) {
+  // Column sort knows every message's size (exchanges 0-3: transpose,
+  // untranspose, shift, unshift); a resized one fails the run instead
+  // of being written past the receiving column.
+  simd::Machine machine(4, loggp::meiko_cs2(), simd::MessageMode::kLong);
+  for (const auto kind : {fault::FaultKind::kTruncate, fault::FaultKind::kOversize}) {
+    for (std::uint64_t exchange = 0; exchange < 4; ++exchange) {
+      const auto plan = one_rule(kind, exchange);
+      for (const bool integrity : {true, false}) {
+        const auto cfg = faulted(api::Algorithm::kColumnSort, integrity, plan);
+        auto keys = util::generate_keys(1u << 12, KeyDistribution::kUniform31, 9);
+        try {
+          (void)api::parallel_sort_on(machine, keys, cfg);
+          ADD_FAILURE() << fault::fault_kind_name(kind) << " at exchange " << exchange
+                        << " returned a result";
+        } catch (const IntegrityError& e) {
+          EXPECT_TRUE(integrity) << e.what();
+          EXPECT_EQ(e.sender(), 1);
+        } catch (const ExchangeError& e) {
+          EXPECT_FALSE(integrity) << e.what();
+          EXPECT_EQ(e.peer(), 1) << e.what();
+          EXPECT_NE(std::string(e.what()).find("from vp 1"), std::string::npos) << e.what();
+        }
+      }
+    }
+  }
+}
+
 TEST(PsortFault, ResizedSampleMessageThrows) {
   // Sample sort cannot predict one message's size, but the parts must
   // still tile the caller's keys: a resized message fails the run
