@@ -49,12 +49,14 @@ inline constexpr std::size_t kNoItem = static_cast<std::size_t>(-1);
 /// Sortedness + permutation check; reports the first diverging VP (or
 /// VP boundary) so a failure localizes the broken exchange.  `item`
 /// names the batch item in a batched run (kNoItem for a single sort).
+/// An item scattered over the VPs has blocks of `keys_per_proc` keys
+/// starting at vp 0; a locally placed item is one block, `first_vp`'s.
 void self_check_output(const std::vector<std::uint32_t>& keys,
                        const Fingerprint& before, std::size_t keys_per_proc,
-                       std::size_t item = kNoItem) {
+                       std::size_t item = kNoItem, std::size_t first_vp = 0) {
   for (std::size_t i = 0; i + 1 < keys.size(); ++i) {
     if (keys[i] <= keys[i + 1]) continue;
-    const std::size_t vp = keys_per_proc == 0 ? 0 : i / keys_per_proc;
+    const std::size_t vp = first_vp + (keys_per_proc == 0 ? 0 : i / keys_per_proc);
     const bool boundary = keys_per_proc != 0 && (i + 1) % keys_per_proc == 0;
     std::ostringstream os;
     os << "self-check: output not sorted at index " << i << " (" << keys[i] << " > "
@@ -69,12 +71,14 @@ void self_check_output(const std::vector<std::uint32_t>& keys,
     throw IntegrityError(os.str(), {static_cast<int>(vp), -1, -1});
   }
   if (fingerprint(keys) == before) return;
+  const bool whole = keys_per_proc == keys.size();
   std::ostringstream os;
   os << "self-check: output is not a permutation of the input (" << keys.size()
      << " keys; multiset fingerprint mismatch";
+  if (whole) os << "; sorted whole by vp " << first_vp;
   if (item != kNoItem) os << "; batch item " << item;
   os << ")";
-  throw IntegrityError(os.str());
+  throw IntegrityError(os.str(), {whole ? static_cast<int>(first_vp) : -1, -1, -1});
 }
 
 }  // namespace
@@ -199,10 +203,13 @@ void apply_config(simd::Machine& machine, const Config& config) {
   }
 }
 
-/// The shared engine: sort every item inside one machine.run(), items
+/// The shared engine: sort every item inside one machine run, items
 /// separated by a barrier (a BSP superstep boundary — clocks of all
 /// VPs synchronize between items, and no VP touches item k+1's buffers
-/// before every VP is done with item k's).
+/// before every VP is done with item k's).  A batch of local items only
+/// is one superstep with no exchange, so it needs no VP threads: it runs
+/// on the calling thread when the serial extra work costs no more than
+/// the machine's measured hand-off (see below).
 BatchOutcome run_batch_on(simd::Machine& machine,
                           std::span<std::vector<std::uint32_t>* const> items,
                           const Config& config) {
@@ -222,20 +229,48 @@ BatchOutcome run_batch_on(simd::Machine& machine,
   // owned by one VP (round-robin over the small items) and local-sorted
   // whole — no exchanges, no per-item barrier ladder.  Consecutive
   // small items share a superstep, so up to P of them run concurrently;
-  // a parallel item always gets its own superstep.  `superstep[it]`
-  // changes exactly where a barrier is required.
+  // a parallel item always gets its own superstep.  An empty item is a
+  // no-op and joins its neighbours' superstep like a small one.
+  // `superstep[it]` changes exactly where a barrier is required.
   std::vector<bool> local(items.size(), false);
   std::vector<std::size_t> owner(items.size(), 0);
   std::vector<std::size_t> superstep(items.size(), 0);
   std::size_t nlocal = 0;
+  std::uint64_t local_keys = 0;
+  bool all_local = true;
   for (std::size_t it = 0; it < items.size(); ++it) {
     local[it] = config.small_item_threshold > 0 && !items[it]->empty() &&
                 items[it]->size() <= config.small_item_threshold;
-    if (local[it]) owner[it] = nlocal++ % P;
-    if (it > 0) {
-      superstep[it] = superstep[it - 1] +
-                      ((local[it] && local[it - 1]) ? 0 : 1);
+    if (local[it]) {
+      owner[it] = nlocal++ % P;
+      local_keys += items[it]->size();
+    } else if (!items[it]->empty()) {
+      all_local = false;
     }
+    if (it > 0) {
+      const auto joins = [&](std::size_t i) { return local[i] || items[i]->empty(); };
+      superstep[it] = superstep[it - 1] + ((joins(it) && joins(it - 1)) ? 0 : 1);
+    }
+  }
+
+  // On the calling thread the owners' sorts run one after another, so
+  // the batch costs every local key instead of the busiest owner's; on
+  // the VPs it costs that plus one hand-off.  Both rates are this
+  // machine's own measurements (handoff_us from its barrier-free runs,
+  // the per-key rate from the all-local batches it sorted); until both
+  // exist the batch goes to the VPs, which measure them.
+  bool run_inline = false;
+  if (all_local && machine.handoff_us() > 0 && machine.local_sort_us_per_key() > 0) {
+    std::uint64_t busiest = 0;
+    for (std::size_t r = 0; r < P; ++r) {
+      std::uint64_t mine = 0;
+      for (std::size_t it = 0; it < items.size(); ++it) {
+        if (local[it] && owner[it] == r) mine += items[it]->size();
+      }
+      busiest = std::max(busiest, mine);
+    }
+    run_inline = static_cast<double>(local_keys - busiest) * machine.local_sort_us_per_key() <=
+                 machine.handoff_us();
   }
 
   // Sample sort's parts vary in size: part_sizes[it * P + r] is the size
@@ -326,14 +361,23 @@ BatchOutcome run_batch_on(simd::Machine& machine,
       check_part(it, p, part);
     }
   };
+  const auto run = [&] {
+    return run_inline ? machine.run_inline(run_program) : machine.run(run_program);
+  };
   if (config.batch_item_ids == nullptr) {
-    out.report = machine.run(run_program);
+    out.report = run();
   } else {
     try {
-      out.report = machine.run(run_program);
+      out.report = run();
     } catch (const BarrierTimeout& e) {
       throw annotate_owners(e);
     }
+  }
+  if (all_local) {
+    // Only the owners' local sorts were charged, in host time x cpu_scale.
+    double charged = 0;
+    for (const auto& ph : out.report.proc_phases) charged += ph.compute();
+    machine.note_local_sort(local_keys, charged / config.cpu_scale);
   }
   out.faults_fired = machine.faults_fired();
   out.sorted.assign(items.size(), false);
@@ -341,8 +385,10 @@ BatchOutcome run_batch_on(simd::Machine& machine,
   for (std::size_t it = 0; it < items.size(); ++it) {
     const auto& keys = *items[it];
     if (config.self_check) {
-      // Throws IntegrityError (naming the item on batched runs).
-      self_check_output(keys, before[it], keys.size() / P, single ? kNoItem : it);
+      // Throws IntegrityError (naming the item on batched runs, and a
+      // local item's owner VP).
+      self_check_output(keys, before[it], local[it] ? keys.size() : keys.size() / P,
+                        single ? kNoItem : it, local[it] ? owner[it] : 0);
       out.sorted[it] = true;
     } else if (keys.empty()) {
       out.sorted[it] = true;

@@ -83,7 +83,9 @@ struct Config {
   /// barrier per P items.  0 (default) disables local placement; the
   /// selected `algorithm` then runs for every item.  Note that locally
   /// placed items perform no exchanges, so exchange-targeted defenses
-  /// and fault rules cannot fire on them.
+  /// and fault rules cannot fire on them.  A batch whose non-empty
+  /// items are ALL local needs no barrier either, and may run on the
+  /// calling thread instead of the VPs (see parallel_sort_batch_on).
   std::size_t small_item_threshold = 0;
 
   /// Optional per-item request trace IDs, parallel to a batch's items
@@ -138,7 +140,7 @@ Outcome parallel_sort(std::vector<std::uint32_t>& keys, const Config& config);
 Outcome parallel_sort_on(simd::Machine& machine, std::vector<std::uint32_t>& keys,
                          const Config& config);
 
-/// Outcome of a batched run: one shared machine.run() that sorted
+/// Outcome of a batched run: one shared machine run that sorted
 /// every item, BSP superstep style (barrier-separated), amortizing the
 /// per-run fixed costs (worker dispatch, watchdog spawn, ring clears,
 /// report aggregation) that dominate small sorts.
@@ -154,8 +156,18 @@ struct BatchOutcome {
 /// config_valid(config, item->size()) or ConfigError names the item
 /// and the violated constraint; the pool-reuse contract of
 /// parallel_sort_on applies unchanged.  config.self_check verifies
-/// each item separately (IntegrityError names the failing item).
-/// Items may have heterogeneous sizes; empty items are no-ops.
+/// each item separately (IntegrityError names the failing item, and a
+/// locally placed item's owner VP).  Items may have heterogeneous
+/// sizes; empty items are no-ops.
+///
+/// When every non-empty item is locally placed (small_item_threshold)
+/// the batch is one exchange-free superstep, and it runs on the calling
+/// thread (simd::Machine::run_inline) whenever that costs no more than
+/// waking and joining the VPs: (sum of keys - the busiest owner's keys)
+/// x the machine's measured per-key local sort time <= its measured
+/// hand-off time (Machine::handoff_us).  Until the machine has measured
+/// both, the VPs run it.  The report, the counters, the per-owner
+/// charges and the checks are the same on either path.
 BatchOutcome parallel_sort_batch_on(simd::Machine& machine,
                                     std::span<std::vector<std::uint32_t>* const> items,
                                     const Config& config);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
-#include <sstream>
 
 #include "fault/error.hpp"
 #include "kernel/kernel.hpp"
@@ -199,19 +198,10 @@ void remap_data_into(simd::Proc& p, const RemapStep& step, std::span<const std::
           }
         }
       } else {
-        const auto msg = p.recv_view(o);
-        if (msg.size() != M) {
-          // Every remap message in a group has the same size by
-          // construction; a mismatch means the payload was damaged in
-          // flight (caught here even with integrity checking off).
-          std::ostringstream os;
-          os << "remap unpack: message from vp " << recv_peers[o] << " has "
-             << msg.size() << " words, expected " << M;
-          throw ExchangeError(os.str(), {p.rank(), -1, -1},
-                              static_cast<std::int64_t>(recv_peers[o]),
-                              static_cast<std::int64_t>(o));
-        }
-        unpack_message(out, msg, plan.recv_order.data(), spat,
+        // Every remap message in a group has the same size by
+        // construction; a mismatch means the payload was damaged in
+        // flight (caught here even with integrity checking off).
+        unpack_message(out, p.recv_exact(o, M), plan.recv_order.data(), spat,
                        plan.unpack_run_log2);
       }
     }

@@ -6,9 +6,7 @@
 #include <cstring>
 #include <memory>
 #include <numbers>
-#include <sstream>
 
-#include "fault/error.hpp"
 #include "layout/bit_layout.hpp"
 #include "layout/remap.hpp"
 #include "util/bits.hpp"
@@ -30,20 +28,6 @@ Complex twiddle(std::uint64_t k, int s, bool inverse) {
 void write_complex(std::uint32_t* words, const Complex& c) {
   const double parts[2] = {c.real(), c.imag()};
   std::memcpy(words, parts, sizeof(parts));
-}
-
-/// The payload of recv view `i`, which must hold `words` words: a
-/// message resized in flight throws instead of being read past its end.
-std::span<const std::uint32_t> recv_words(const simd::Proc& p, std::size_t i,
-                                          std::size_t words) {
-  const auto msg = p.recv_view(i);
-  if (msg.size() != words) {
-    std::ostringstream os;
-    os << "fft: message " << i << " has " << msg.size() << " words, expected " << words;
-    throw ExchangeError(os.str(),
-                        {p.rank(), static_cast<std::int64_t>(p.comm().exchanges) - 1, -1});
-  }
-  return msg;
 }
 
 Complex read_complex(const std::uint32_t* words) {
@@ -112,7 +96,7 @@ void remap_complex(simd::Proc& p, const layout::BitLayout& from,
           out[plan.recv_order[j] | spat] = in[plan.kept_order[j] | dpat];
         }
       } else {
-        const auto msg = recv_words(p, o, M * kWordsPerComplex);
+        const auto msg = p.recv_exact(o, M * kWordsPerComplex);
         for (std::size_t j = 0; j < M; ++j) {
           out[plan.recv_order[j] | spat] = read_complex(&msg[j * kWordsPerComplex]);
         }
@@ -249,7 +233,7 @@ void parallel_fft_blocked(simd::Proc& p, std::span<Complex> local, bool inverse)
       }
     });
     p.commit_exchange();
-    const auto msg = recv_words(p, 0, local.size() * kWordsPerComplex);
+    const auto msg = p.recv_exact(0, local.size() * kWordsPerComplex);
     p.timed(simd::Phase::kCompute, [&] {
       const bool upper = util::bit(rank, rank_bit) == 0;  // holds u
       const std::uint64_t kmask = (std::uint64_t{1} << (s - 1)) - 1;

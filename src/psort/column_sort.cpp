@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <numeric>
-#include <sstream>
 #include <vector>
 
-#include "fault/error.hpp"
 #include "localsort/radix_sort.hpp"
 #include "obs/profile.hpp"
 
@@ -24,23 +22,6 @@ std::vector<std::uint64_t> all_peers(std::uint64_t s) {
   std::vector<std::uint64_t> peers(s);
   std::iota(peers.begin(), peers.end(), 0);
   return peers;
-}
-
-/// Recv view `i`, sent by `src`, which must hold the `want` keys the
-/// step assigns it: a message resized in flight throws instead of being
-/// written past the column (caught even with integrity checking off).
-std::span<const std::uint32_t> recv_keys(const simd::Proc& p, std::size_t i,
-                                         std::uint64_t src, std::uint64_t want) {
-  const auto msg = p.recv_view(i);
-  if (msg.size() != want) {
-    std::ostringstream os;
-    os << "column sort: message from vp " << src << " has " << msg.size()
-       << " keys, expected " << want;
-    throw ExchangeError(os.str(),
-                        {p.rank(), static_cast<std::int64_t>(p.comm().exchanges) - 1, -1},
-                        static_cast<std::int64_t>(src), static_cast<std::int64_t>(i));
-  }
-  return msg;
 }
 
 /// Transpose (step 2): the matrix entries are picked up column by column
@@ -75,7 +56,7 @@ void transpose(simd::Proc& p, std::span<std::uint32_t> keys) {
     // increasing sequence of i with (sj*r + i) % s == me.
     for (std::uint64_t sj = 0; sj < s; ++sj) {
       std::uint64_t i = first(sj, j);
-      for (const std::uint32_t v : recv_keys(p, sj, sj, count(sj, j))) {
+      for (const std::uint32_t v : p.recv_exact(sj, count(sj, j))) {
         keys[(sj * r + i) / s] = v;
         i += s;
       }
@@ -110,7 +91,7 @@ void untranspose(simd::Proc& p, std::span<std::uint32_t> keys) {
     // From source sj the rows lo(sj, j).. land at rows (i*s + sj) % r.
     for (std::uint64_t sj = 0; sj < s; ++sj) {
       std::uint64_t i = lo(sj, j);
-      for (const std::uint32_t v : recv_keys(p, sj, sj, lo(sj, j + 1) - i)) {
+      for (const std::uint32_t v : p.recv_exact(sj, lo(sj, j + 1) - i)) {
         keys[(i * s + sj) % r] = v;
         ++i;
       }
@@ -180,7 +161,7 @@ void column_sort(simd::Proc& p, std::span<std::uint32_t> keys) {
     p.commit_exchange();
     p.timed(simd::Phase::kUnpack, [&] {
       if (j > 0) {
-        const auto got = recv_keys(p, 0, j - 1, bottom.size());
+        const auto got = p.recv_exact(0, bottom.size());
         std::copy(got.begin(), got.end(), shifted.begin());
       }
       std::copy(keys.begin(), keys.begin() + static_cast<std::ptrdiff_t>(half),
@@ -218,7 +199,7 @@ void column_sort(simd::Proc& p, std::span<std::uint32_t> keys) {
       std::copy(shifted.begin() + static_cast<std::ptrdiff_t>(half), shifted.end(),
                 keys.begin());
       const auto got =
-          j + 1 < s ? recv_keys(p, 0, j + 1, half) : std::span<const std::uint32_t>(overflow);
+          j + 1 < s ? p.recv_exact(0, half) : std::span<const std::uint32_t>(overflow);
       std::copy(got.begin(), got.end(), keys.begin() + static_cast<std::ptrdiff_t>(half));
     });
   }

@@ -16,20 +16,6 @@ namespace {
 constexpr int kDigitBits = 8;
 constexpr std::size_t kBuckets = std::size_t{1} << kDigitBits;
 constexpr int kPasses = 4;  // 31-bit keys
-
-/// A received message must carry exactly what the histograms assign to
-/// it; anything else was damaged in flight (caught here even with
-/// integrity checking off, before a copy could read past the message).
-void check_message(const simd::Proc& p, std::uint64_t src, std::size_t got,
-                   std::size_t expected, const char* what) {
-  if (got == expected) return;
-  std::ostringstream os;
-  os << "radix sort: " << what << " from vp " << src << " is " << got << ", expected "
-     << expected;
-  throw ExchangeError(os.str(),
-                      {p.rank(), static_cast<std::int64_t>(p.comm().exchanges) - 1, -1},
-                      static_cast<std::int64_t>(src), static_cast<std::int64_t>(src));
-}
 }  // namespace
 
 void parallel_radix_sort(simd::Proc& p, std::span<std::uint32_t> keys) {
@@ -106,8 +92,7 @@ void parallel_radix_sort(simd::Proc& p, std::span<std::uint32_t> keys) {
     // recycles the same arenas, so the histogram views must not be read
     // after its open_exchange().
     for (std::uint64_t s = 0; s < P; ++s) {
-      const auto v = p.recv_view(s);
-      check_message(p, s, v.size(), kBuckets, "histogram size");
+      const auto v = p.recv_exact(s, kBuckets);
       std::copy(v.begin(), v.end(), hist_flat.begin() + static_cast<std::ptrdiff_t>(s * kBuckets));
     }
 
@@ -117,8 +102,14 @@ void parallel_radix_sort(simd::Proc& p, std::span<std::uint32_t> keys) {
     p.timed(simd::Phase::kCompute, [&] {
       for (std::uint64_t s = 0; s < P; ++s) {
         const auto h = hist_flat.begin() + static_cast<std::ptrdiff_t>(s * kBuckets);
-        check_message(p, s, std::accumulate(h, h + kBuckets, std::size_t{0}), n,
-                      "key count in the histogram");
+        const std::size_t count = std::accumulate(h, h + kBuckets, std::size_t{0});
+        if (count == n) continue;
+        std::ostringstream os;
+        os << "radix sort: key count in the histogram from vp " << s << " is " << count
+           << ", expected " << n;
+        throw ExchangeError(os.str(),
+                            {p.rank(), static_cast<std::int64_t>(p.comm().exchanges) - 1, -1},
+                            static_cast<std::int64_t>(s), static_cast<std::int64_t>(s));
       }
       my_prefix.fill(0);
       for (std::size_t b = 0; b < kBuckets; ++b) {
@@ -175,10 +166,10 @@ void parallel_radix_sort(simd::Proc& p, std::span<std::uint32_t> keys) {
       };
       std::fill(cursor.begin(), cursor.end(), 0);
       for_each_segment([&](std::uint64_t s, std::uint64_t, std::uint64_t len) { cursor[s] += len; });
-      for (std::uint64_t s = 0; s < P; ++s) {
-        views[s] = p.recv_view(s);
-        check_message(p, s, views[s].size(), cursor[s], "key message size");
-      }
+      // A message must carry exactly what the histograms assign to it;
+      // anything else was damaged in flight (caught even with integrity
+      // checking off, before a copy could read past the message).
+      for (std::uint64_t s = 0; s < P; ++s) views[s] = p.recv_exact(s, cursor[s]);
       std::fill(cursor.begin(), cursor.end(), 0);
       for_each_segment([&](std::uint64_t s, std::uint64_t at, std::uint64_t len) {
         std::copy_n(views[s].begin() + static_cast<std::ptrdiff_t>(cursor[s]), len,

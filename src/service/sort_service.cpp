@@ -871,6 +871,10 @@ bool SortService::machine_healthy(simd::Machine& machine) {
   cfg.faults = nullptr;  // the health run must be clean
   cfg.self_check = true;  // sortedness + multiset fingerprint
   cfg.integrity = true;
+  // Scatter the health keys: under the base threshold they would sort
+  // whole on one VP (or on this thread), exercising no exchange, barrier
+  // or VP thread of the machine being certified.
+  cfg.small_item_threshold = 0;
   cfg.watchdog_seconds =
       cfg.watchdog_seconds > 0 ? std::min(cfg.watchdog_seconds, 10.0) : 10.0;
   const std::size_t n =

@@ -60,6 +60,13 @@ void check_recorded(const char* what, bool enabled, int rank, int nprocs) {
   }
 }
 
+/// Both measured run costs (Machine::handoff_us, local_sort_us_per_key)
+/// are smoothed like the service's batch-cost estimate: the first
+/// sample seeds, later ones move it by a quarter.
+void smooth(double& estimate, double sample) {
+  estimate = estimate == 0 ? sample : 0.75 * estimate + 0.25 * sample;
+}
+
 }  // namespace
 
 /// Sentinel in recv_declared: this view carries no integrity seal (self
@@ -179,6 +186,11 @@ struct Machine::Impl {
   bool timed_out = false;             ///< watchdog fired (guarded by mu)
   std::vector<BarrierTimeout::VpSnapshot> timeout_states;
 
+  // ---- inline runs and the hand-off measurement ----------------------
+  bool inline_run = false;        ///< run_inline() is executing
+  double handoff_us = 0;          ///< smoothed run() release-to-join overhead
+  double local_us_per_key = 0;    ///< smoothed note_local_sort() rate
+
   /// Execution backend pricing (simulated) or measuring (native) every
   /// exchange.  Stateless and shared: collect() is called concurrently
   /// from every VP's worker thread.  Set once at construction.
@@ -253,6 +265,59 @@ struct Machine::Impl {
     poisoned = false;
   }
 
+  /// Barriers (clock and host) completed so far; unchanged across a run
+  /// exactly when the run was barrier-free.
+  std::uint64_t barriers_passed() {
+    std::lock_guard<std::mutex> lk(mu);
+    return generation + h_generation;
+  }
+
+  /// Snapshot every VP's published state as the BarrierTimeout
+  /// diagnosis and mark the run timed out.
+  void capture_timeout() {
+    timeout_states.reserve(vps.size());
+    for (std::size_t r = 0; r < vps.size(); ++r) {
+      const auto& vp = vps[r];
+      BarrierTimeout::VpSnapshot s;
+      s.rank = static_cast<int>(r);
+      s.where = vp.st_where.load(std::memory_order_relaxed);
+      s.exchanges = vp.st_exchanges.load(std::memory_order_relaxed);
+      s.clock_us = vp.st_clock.load(std::memory_order_relaxed);
+      // The open-span stack names WHAT the VP is stuck in, not just
+      // which protocol step: "in remap 3 / unpack".
+      const auto sk = vp.st_span_kind.load(std::memory_order_relaxed);
+      if (sk != 255) {
+        s.span = obs::span_kind_name(static_cast<obs::SpanKind>(sk));
+        s.span_arg = vp.st_span_arg.load(std::memory_order_relaxed);
+      }
+      const auto leaf = vp.st_leaf_kind.load(std::memory_order_relaxed);
+      if (leaf != 255) s.leaf = obs::span_kind_name(static_cast<obs::SpanKind>(leaf));
+      timeout_states.push_back(s);
+    }
+    timed_out = true;
+  }
+
+  /// Run rank `rank`'s program, recording its fate the way both run
+  /// paths report it: "done", "unwound" (a peer poisoned the barrier)
+  /// or "failed" with the exception kept for the epilogue.  Returns
+  /// false when the program threw its own error.
+  bool run_rank(const std::function<void(Proc&)>& prog, Proc& proc, int rank) {
+    auto& vp = vps[static_cast<std::size_t>(rank)];
+    try {
+      prog(proc);
+      vp.st_where.store("done", std::memory_order_relaxed);
+    } catch (const BarrierPoison&) {
+      // A peer died; this VP unwound cleanly through the poisoned
+      // barrier and carries no error of its own.
+      vp.st_where.store("unwound", std::memory_order_relaxed);
+    } catch (...) {
+      errors[static_cast<std::size_t>(rank)] = std::current_exception();
+      vp.st_where.store("failed", std::memory_order_relaxed);
+      return false;
+    }
+    return true;
+  }
+
   void worker_loop(int rank) {
     std::uint64_t seen = 0;
     for (;;) {
@@ -266,21 +331,7 @@ struct Machine::Impl {
         prog = program;
         proc = &procs[rank];
       }
-      try {
-        (*prog)(*proc);
-        vps[static_cast<std::size_t>(rank)].st_where.store("done",
-                                                           std::memory_order_relaxed);
-      } catch (const BarrierPoison&) {
-        // A peer died; this VP unwound cleanly through the poisoned
-        // barrier and carries no error of its own.
-        vps[static_cast<std::size_t>(rank)].st_where.store("unwound",
-                                                           std::memory_order_relaxed);
-      } catch (...) {
-        errors[static_cast<std::size_t>(rank)] = std::current_exception();
-        vps[static_cast<std::size_t>(rank)].st_where.store("failed",
-                                                           std::memory_order_relaxed);
-        poison();
-      }
+      if (!run_rank(*prog, *proc, rank)) poison();
       {
         std::lock_guard<std::mutex> lk(run_mu);
         if (++done == nprocs) done_cv.notify_all();
@@ -405,6 +456,15 @@ void Machine::arm_faults(const fault::FaultPlan& plan) {
 void Machine::disarm_faults() { impl_->faults.reset(); }
 bool Machine::faults_armed() const { return impl_->faults != nullptr; }
 
+double Machine::handoff_us() const { return impl_->handoff_us; }
+
+double Machine::local_sort_us_per_key() const { return impl_->local_us_per_key; }
+
+void Machine::note_local_sort(std::uint64_t keys, double host_us) {
+  if (keys == 0 || !(host_us > 0)) return;
+  smooth(impl_->local_us_per_key, host_us / static_cast<double>(keys));
+}
+
 std::uint64_t Machine::faults_fired() const {
   return impl_->faults ? impl_->faults->fires.load(std::memory_order_relaxed) : 0;
 }
@@ -435,13 +495,21 @@ double Proc::timed_end(double t0) {
   return util::thread_cpu_us() - t0;
 }
 
-void Proc::check_outside_timed(const char* what) const {
-  if (!in_timed_) return;
-  throw ConfigError(std::string(what) +
-                        " called inside a Proc::timed section (the contract forbids "
-                        "barrier/open_exchange/commit_exchange in timed f(); "
-                        "the section would charge the wait as local work)",
-                    {rank_, static_cast<std::int64_t>(comm_.exchanges), -1});
+void Proc::check_collective(const char* what) const {
+  if (in_timed_) {
+    throw ConfigError(std::string(what) +
+                          " called inside a Proc::timed section (the contract forbids "
+                          "barrier/open_exchange/commit_exchange in timed f(); "
+                          "the section would charge the wait as local work)",
+                      {rank_, static_cast<std::int64_t>(comm_.exchanges), -1});
+  }
+  if (machine_.impl_->inline_run) {
+    throw ConfigError(std::string(what) +
+                          " called inside Machine::run_inline (its ranks run one after "
+                          "another on one thread; a program that synchronizes or "
+                          "exchanges must use run())",
+                      {rank_, static_cast<std::int64_t>(comm_.exchanges), -1});
+  }
 }
 
 void Proc::publish_state(const char* where) {
@@ -568,7 +636,7 @@ int Proc::span_begin_phase(Phase phase) {
 }
 
 void Proc::barrier() {
-  check_outside_timed("barrier");
+  check_collective("barrier");
   publish_state("barrier");
   // The clock jump absorbed here is BSP skew: a leaf span whose
   // duration record() also files under barrier_skew_us.
@@ -589,7 +657,7 @@ void Proc::trace_remap(int group_log2, trace::LayoutTag from, trace::LayoutTag t
 void Proc::open_exchange(std::span<const std::uint64_t> send_peers,
                          std::span<const std::size_t> send_sizes,
                          std::span<const std::uint64_t> recv_peers) {
-  check_outside_timed("open_exchange");
+  check_collective("open_exchange");
   auto& impl = *machine_.impl_;
   auto& vp = *vp_;
 
@@ -687,7 +755,7 @@ std::span<std::uint32_t> Proc::send_slot(std::size_t i) {
 }
 
 void Proc::commit_exchange() {
-  check_outside_timed("commit_exchange");
+  check_collective("commit_exchange");
   auto& impl = *machine_.impl_;
   auto& vp = *vp_;
   if (!vp.open) {
@@ -844,6 +912,18 @@ std::span<const std::uint32_t> Proc::recv_view(std::size_t i) const {
 
 std::size_t Proc::recv_view_count() const { return vp_->recv_views.size(); }
 
+std::span<const std::uint32_t> Proc::recv_exact(std::size_t i, std::size_t expected) const {
+  const auto view = recv_view(i);
+  if (view.size() == expected) return view;
+  const auto sender = static_cast<std::int64_t>(vp_->recv_peers[i]);
+  std::ostringstream os;
+  os << "received size mismatch: message from vp " << sender << " (recv slot " << i
+     << ") has " << view.size() << " elements, expected " << expected;
+  throw ExchangeError(os.str(),
+                      {rank_, static_cast<std::int64_t>(comm_.exchanges) - 1, -1}, sender,
+                      static_cast<std::int64_t>(i));
+}
+
 std::uint8_t Proc::apply_commit_faults() {
   auto& impl = *machine_.impl_;
   auto& af = *impl.faults;
@@ -940,8 +1020,7 @@ std::uint8_t Proc::apply_commit_faults() {
   return mask;
 }
 
-RunReport Machine::run(const std::function<void(Proc&)>& program) {
-  const auto wall0 = std::chrono::steady_clock::now();
+std::vector<Proc> Machine::begin_run() {
   // Span stacks are also the watchdog's stuck-phase diagnosis, so they
   // are maintained whenever either consumer is on.
   impl_->obs_armed = impl_->obs_enabled || impl_->watchdog_s > 0;
@@ -960,6 +1039,7 @@ RunReport Machine::run(const std::function<void(Proc&)>& program) {
               std::uint8_t{0});
     impl_->faults->fires.store(0, std::memory_order_relaxed);
   }
+  std::fill(impl_->errors.begin(), impl_->errors.end(), nullptr);
   // Sweep the exchange state a previous run may have left mid-flight.
   // A poisoned/faulted/timed-out run can die between open_exchange and
   // the receivers' reads, leaving published cells (pointers into VP
@@ -988,13 +1068,50 @@ RunReport Machine::run(const std::function<void(Proc&)>& program) {
     p.vp_ = &impl_->vps[static_cast<std::size_t>(r)];
     procs.push_back(p);
   }
+  return procs;
+}
 
+RunReport Machine::end_run(const std::vector<Proc>& procs, double wall_seconds) {
+  // Leave the machine reusable whether or not the run failed.
+  impl_->reset_barriers();
+  for (auto& vp : impl_->vps) vp.open = false;
+  // A watchdog timeout outranks individual VP errors: the diagnosis
+  // covers the whole machine, and unwound VPs carry no error anyway.
+  if (impl_->timed_out) {
+    throw BarrierTimeout(impl_->watchdog_s, std::move(impl_->timeout_states));
+  }
+  for (auto& e : impl_->errors) {
+    if (e) std::rethrow_exception(e);
+  }
+
+  RunReport rep;
+  rep.proc_us.reserve(procs.size());
+  rep.proc_phases.reserve(procs.size());
+  rep.proc_comm.reserve(procs.size());
+  for (const auto& p : procs) {
+    rep.proc_us.push_back(p.clock_us_);
+    rep.proc_phases.push_back(p.phases_);
+    rep.proc_comm.push_back(p.comm_);
+    rep.makespan_us = std::max(rep.makespan_us, p.clock_us_);
+  }
+  rep.wall_seconds = wall_seconds;
+  if (impl_->obs_enabled) {
+    rep.obs = obs::summarize(impl_->metrics.data(), nprocs_);
+  }
+  return rep;
+}
+
+RunReport Machine::run(const std::function<void(Proc&)>& program) {
+  const auto wall0 = std::chrono::steady_clock::now();
+  std::vector<Proc> procs = begin_run();
+  const std::uint64_t barriers0 = impl_->barriers_passed();
+
+  const auto released = std::chrono::steady_clock::now();
   {
     std::lock_guard<std::mutex> lk(impl_->run_mu);
     impl_->program = &program;
     impl_->procs = procs.data();
     impl_->done = 0;
-    std::fill(impl_->errors.begin(), impl_->errors.end(), nullptr);
     ++impl_->run_id;
   }
   impl_->run_cv.notify_all();
@@ -1021,28 +1138,7 @@ RunReport Machine::run(const std::function<void(Proc&)>& program) {
       }
       // Deadline overrun decided while holding run_mu: the run is
       // genuinely incomplete.  Diagnose first, then poison.
-      impl_->timeout_states.reserve(impl_->vps.size());
-      for (std::size_t r = 0; r < impl_->vps.size(); ++r) {
-        const auto& vp = impl_->vps[r];
-        BarrierTimeout::VpSnapshot s;
-        s.rank = static_cast<int>(r);
-        s.where = vp.st_where.load(std::memory_order_relaxed);
-        s.exchanges = vp.st_exchanges.load(std::memory_order_relaxed);
-        s.clock_us = vp.st_clock.load(std::memory_order_relaxed);
-        // The open-span stack names WHAT the VP is stuck in, not just
-        // which protocol step: "in remap 3 / unpack".
-        const auto sk = vp.st_span_kind.load(std::memory_order_relaxed);
-        if (sk != 255) {
-          s.span = obs::span_kind_name(static_cast<obs::SpanKind>(sk));
-          s.span_arg = vp.st_span_arg.load(std::memory_order_relaxed);
-        }
-        const auto lk2 = vp.st_leaf_kind.load(std::memory_order_relaxed);
-        if (lk2 != 255) {
-          s.leaf = obs::span_kind_name(static_cast<obs::SpanKind>(lk2));
-        }
-        impl_->timeout_states.push_back(s);
-      }
-      impl_->timed_out = true;
+      impl_->capture_timeout();
       lk.unlock();
       impl_->poison();
     });
@@ -1052,36 +1148,43 @@ RunReport Machine::run(const std::function<void(Proc&)>& program) {
     std::unique_lock<std::mutex> lk(impl_->run_mu);
     impl_->done_cv.wait(lk, [&] { return impl_->done == nprocs_; });
   }
+  const auto joined = std::chrono::steady_clock::now();
   if (watchdog.joinable()) watchdog.join();
 
-  // Leave the machine reusable whether or not the run failed.
-  impl_->reset_barriers();
-  for (auto& vp : impl_->vps) vp.open = false;
-  // A watchdog timeout outranks individual VP errors: the diagnosis
-  // covers the whole machine, and unwound VPs carry no error anyway.
-  if (impl_->timed_out) {
-    throw BarrierTimeout(impl_->watchdog_s, std::move(impl_->timeout_states));
+  // The hand-off cost: a clean barrier-free run is one superstep, so
+  // release-to-join minus the critical VP's work is what waking and
+  // joining the workers cost.  Charges are host time times cpu_scale.
+  const bool clean =
+      !impl_->timed_out &&
+      std::none_of(impl_->errors.begin(), impl_->errors.end(),
+                   [](const std::exception_ptr& e) { return e != nullptr; });
+  if (clean && impl_->barriers_passed() == barriers0) {
+    double critical_us = 0;
+    for (const auto& p : procs) critical_us = std::max(critical_us, p.clock_us_);
+    const double sample =
+        std::chrono::duration<double, std::micro>(joined - released).count() -
+        critical_us / cpu_scale_;
+    if (sample > 0) smooth(impl_->handoff_us, sample);
   }
-  for (auto& e : impl_->errors) {
-    if (e) std::rethrow_exception(e);
-  }
+  return end_run(procs, std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - wall0)
+                            .count());
+}
 
-  RunReport rep;
-  rep.proc_us.reserve(procs.size());
-  rep.proc_phases.reserve(procs.size());
-  rep.proc_comm.reserve(procs.size());
-  for (const auto& p : procs) {
-    rep.proc_us.push_back(p.clock_us_);
-    rep.proc_phases.push_back(p.phases_);
-    rep.proc_comm.push_back(p.comm_);
-    rep.makespan_us = std::max(rep.makespan_us, p.clock_us_);
+RunReport Machine::run_inline(const std::function<void(Proc&)>& program) {
+  const auto wall0 = std::chrono::steady_clock::now();
+  std::vector<Proc> procs = begin_run();
+  impl_->inline_run = true;
+  for (int r = 0; r < nprocs_; ++r) {
+    (void)impl_->run_rank(program, procs[static_cast<std::size_t>(r)], r);
   }
-  rep.wall_seconds =
+  impl_->inline_run = false;
+  const double wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0).count();
-  if (impl_->obs_enabled) {
-    rep.obs = obs::summarize(impl_->metrics.data(), nprocs_);
-  }
-  return rep;
+  // No monitor thread: an inline run cannot block, so the deadline is
+  // checked once it is over, with every rank's state as the diagnosis.
+  if (impl_->watchdog_s > 0 && wall_seconds > impl_->watchdog_s) impl_->capture_timeout();
+  return end_run(procs, wall_seconds);
 }
 
 }  // namespace bsort::simd

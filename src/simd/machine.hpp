@@ -29,10 +29,16 @@
 // ----------------------------
 // A Machine owns one persistent worker thread per VP, created at
 // construction and reused by every run() — repeated runs pay no
-// thread-spawn cost.  Each VP also owns a persistent exchange arena: the
-// pooled exchange API (open_exchange / send_slot / commit_exchange /
-// recv_view) stages outgoing payloads in that arena and hands receivers
-// spans pointing directly into the senders' arenas, so a steady-state
+// thread-spawn cost.  A program that never barriers or exchanges (one
+// superstep with no h-relation, so it needs no synchronization) can
+// instead run_inline(): every rank's program runs in rank order on the
+// calling thread, with the same Procs, buffers, rings and report, and
+// no worker is woken.  Whether that pays is the caller's call; the
+// Machine measures what a hand-off to the workers costs (handoff_us).
+// Each VP also owns a persistent exchange arena: the pooled exchange
+// API (open_exchange / send_slot / commit_exchange / recv_view) stages
+// outgoing payloads in that arena and hands receivers spans pointing
+// directly into the senders' arenas, so a steady-state
 // remap performs zero heap allocations; it is the Machine's only
 // exchange protocol.  Each VP likewise owns one n-key scratch buffer
 // (Proc::scratch) for its local sorts and remap double-buffering.
@@ -258,6 +264,12 @@ class Proc {
   /// and exchange/remap ordinal.
   [[nodiscard]] std::span<const std::uint32_t> recv_view(std::size_t i) const;
   [[nodiscard]] std::size_t recv_view_count() const;
+  /// recv_view(i) for a receiver that knows the message's size: a view
+  /// of any other length (resized in flight) throws ExchangeError naming
+  /// this rank, the exchange ordinal, the sender and the slot, before
+  /// the caller can read or write past the message.
+  [[nodiscard]] std::span<const std::uint32_t> recv_exact(std::size_t i,
+                                                          std::size_t expected) const;
 
   /// This VP's n-key working buffer (local-sort scratch, remap double
   /// buffer), kept by the Machine across runs like the exchange arena.
@@ -309,9 +321,11 @@ class Proc {
     bool armed = false;
   };
 
-  /// Throws ConfigError when called from inside a Proc::timed section
-  /// (the documented contract; violating it used to deadlock).
-  void check_outside_timed(const char* what) const;
+  /// Throws ConfigError when a collective step (barrier, exchange) is
+  /// called from inside a Proc::timed section (the documented contract;
+  /// violating it used to deadlock) or inside Machine::run_inline (no
+  /// peer runs concurrently to meet it).
+  void check_collective(const char* what) const;
   /// Publish (where, exchanges, clock) for the barrier watchdog; no-op
   /// (one predicted branch) when no watchdog is armed.
   void publish_state(const char* where);
@@ -435,6 +449,8 @@ class Machine {
   /// watchdog unsticks VPs parked in (or eventually reaching) a
   /// barrier; a VP spinning forever in user code can only be diagnosed,
   /// not unwound — pair with a test-runner timeout for that.
+  /// run_inline() starts no monitor: it checks the elapsed wall time
+  /// after the last rank and throws the same BarrierTimeout.
   void set_watchdog(double seconds);
   [[nodiscard]] double watchdog_seconds() const;
 
@@ -457,9 +473,38 @@ class Machine {
   /// next run's exchanges.
   RunReport run(const std::function<void(Proc&)>& program);
 
+  /// Execute a program that never barriers or exchanges: each rank's
+  /// program runs in rank order on the calling thread, on the same
+  /// Procs, scratch buffers and (when recording) each rank's own ring,
+  /// and the report has run()'s shape.  Proc::barrier and
+  /// open_exchange/commit_exchange throw ConfigError here.  Errors
+  /// behave as in run(): every rank runs, the lowest rank's exception
+  /// is rethrown, and the Machine stays usable.
+  RunReport run_inline(const std::function<void(Proc&)>& program);
+
+  /// Host microseconds one run() spends handing the program to the VP
+  /// threads and joining them: wall time from release to join minus the
+  /// critical VP's charge (in host time), smoothed over this machine's
+  /// barrier-free runs.  0 until one has completed.
+  [[nodiscard]] double handoff_us() const;
+
+  /// Record `host_us` of local-sort work over `keys` keys run on this
+  /// machine; local_sort_us_per_key() smooths the per-key rate (0 until
+  /// recorded).  api::parallel_sort_batch_on records every all-local
+  /// batch and weighs the rate against handoff_us().
+  void note_local_sort(std::uint64_t keys, double host_us);
+  [[nodiscard]] double local_sort_us_per_key() const;
+
  private:
   friend class Proc;
   struct Impl;
+  /// Per-run prologue shared by run() and run_inline(): clear rings and
+  /// fault bookkeeping, sweep leftover exchange state, one Proc per rank.
+  std::vector<Proc> begin_run();
+  /// Shared epilogue: leave the machine reusable, then throw the
+  /// watchdog's BarrierTimeout or the lowest rank's error, or assemble
+  /// the report (`wall_seconds` covers the whole call).
+  RunReport end_run(const std::vector<Proc>& procs, double wall_seconds);
   int nprocs_;
   loggp::Params params_;
   MessageMode mode_;

@@ -7,6 +7,7 @@
 #include "fault/error.hpp"
 #include "fault/plan.hpp"
 #include "util/json.hpp"
+#include "util/clock.hpp"
 #include "util/random.hpp"
 
 namespace bsort::api {
@@ -311,6 +312,124 @@ TEST(ApiBatch, SmallItemThresholdPlacesItemsLocallyWithZeroExchanges) {
   std::uint64_t sent = 0;
   for (const auto& comm : out2.report.proc_comm) sent += comm.elements_sent;
   EXPECT_GT(sent, 0u) << "the oversized item must still be sorted in parallel";
+
+  // Every input family, empty items and the service's pad key mixed in:
+  // the all-local batch (on the calling thread or the VPs, whichever the
+  // machine's crossover picks), the same items scattered over the VPs
+  // (threshold 0) and one call per item (one owner: always inline once
+  // measured) all equal std::sort.
+  std::vector<std::vector<std::uint32_t>> inputs;
+  std::uint64_t seed = 30;
+  for (const auto family : {util::KeyDistribution::kConstant, util::KeyDistribution::kLowEntropy,
+                            util::KeyDistribution::kSorted, util::KeyDistribution::kReversed}) {
+    for (const std::size_t n : {8u, 256u, 512u}) {
+      inputs.push_back(util::generate_keys(n, family, ++seed));
+    }
+    inputs.emplace_back();
+  }
+  inputs.emplace_back(64, UINT32_MAX);
+  inputs.emplace_back(256, UINT32_MAX);
+  const auto sort_all = [&](const Config& c, bool one_call_each) {
+    auto work = inputs;
+    std::vector<std::vector<std::uint32_t>*> ptrs;
+    for (auto& w : work) ptrs.push_back(&w);
+    if (one_call_each) {
+      for (auto* w : ptrs) EXPECT_TRUE(parallel_sort_on(machine, *w, c).sorted);
+    } else {
+      const auto o = parallel_sort_batch_on(machine, ptrs, c);
+      for (std::size_t i = 0; i < o.sorted.size(); ++i) EXPECT_TRUE(o.sorted[i]) << i;
+      if (c.small_item_threshold > 0) {
+        for (const auto& comm : o.report.proc_comm) EXPECT_EQ(comm.exchanges, 0u);
+      }
+    }
+    return work;
+  };
+  auto oracle = inputs;
+  for (auto& o : oracle) std::sort(o.begin(), o.end());
+  Config scattered = cfg;
+  scattered.small_item_threshold = 0;
+  EXPECT_EQ(sort_all(cfg, false), oracle) << "batched, all local";
+  EXPECT_EQ(sort_all(cfg, true), oracle) << "one call per item";
+  EXPECT_EQ(sort_all(scattered, false), oracle) << "scattered over the VPs";
+}
+
+/// The calling thread's CPU time across one batch call.  An inline
+/// batch's local sorts are charged from the caller's own CPU clock, so
+/// the caller spends at least their total charge; a batch handed to the
+/// VPs leaves the caller parked in the join.
+double caller_cpu_us(simd::Machine& machine, std::vector<std::vector<std::uint32_t>>& items,
+                     const Config& cfg, BatchOutcome& out) {
+  std::vector<std::vector<std::uint32_t>*> ptrs;
+  for (auto& it : items) ptrs.push_back(&it);
+  const double t0 = util::thread_cpu_us();
+  out = parallel_sort_batch_on(machine, ptrs, cfg);
+  return util::thread_cpu_us() - t0;
+}
+
+double charged_compute_us(const simd::RunReport& rep) {
+  double us = 0;
+  for (const auto& ph : rep.proc_phases) us += ph.compute();
+  return us;
+}
+
+TEST(ApiBatch, AllLocalBatchRunsOnTheCallerOnlyBelowTheCrossover) {
+  simd::Machine machine(4, loggp::meiko_cs2(), simd::MessageMode::kLong);
+  Config cfg;
+  cfg.nprocs = 4;
+  cfg.small_item_threshold = std::size_t{1} << 19;
+  const auto batch = [](std::size_t items, std::size_t n) {
+    std::vector<std::vector<std::uint32_t>> b;
+    for (std::size_t i = 0; i < items; ++i) {
+      b.push_back(util::generate_keys(n, util::KeyDistribution::kUniform31, 40 + i));
+    }
+    return b;
+  };
+  BatchOutcome out;
+
+  // A fresh machine has measured neither its hand-off nor its local
+  // sort rate, so even a one-owner batch goes to the VPs...
+  EXPECT_EQ(machine.handoff_us(), 0.0);
+  auto one = batch(1, std::size_t{1} << 16);
+  double cpu = caller_cpu_us(machine, one, cfg, out);
+  EXPECT_TRUE(out.sorted[0]);
+  EXPECT_LT(cpu, 0.5 * charged_compute_us(out.report)) << "a fresh machine sorted inline";
+  ASSERT_GT(machine.handoff_us(), 0.0);
+  ASSERT_GT(machine.local_sort_us_per_key(), 0.0);
+
+  // ...which measured both: one owner adds no serial work, so the same
+  // batch now sorts on the calling thread.
+  one = batch(1, std::size_t{1} << 16);
+  cpu = caller_cpu_us(machine, one, cfg, out);
+  EXPECT_TRUE(out.sorted[0]);
+  EXPECT_TRUE(std::is_sorted(one[0].begin(), one[0].end()));
+  EXPECT_GE(cpu, charged_compute_us(out.report)) << "a one-owner batch did not run inline";
+  EXPECT_EQ(out.report.proc_us.size(), 4u);
+  EXPECT_GT(out.report.proc_phases[0].compute(), 0.0) << "the item is charged to its owner";
+  EXPECT_EQ(out.report.proc_phases[1].compute(), 0.0);
+
+  // Four owners of 2^19 keys: inline would add three owners' sorts (about
+  // 1.5M keys) of serial work, far more than one hand-off.
+  auto four = batch(4, std::size_t{1} << 19);
+  ASSERT_GT(3.0 * static_cast<double>(std::size_t{1} << 19) * machine.local_sort_us_per_key(),
+            machine.handoff_us());
+  cpu = caller_cpu_us(machine, four, cfg, out);
+  for (const auto& item : four) EXPECT_TRUE(std::is_sorted(item.begin(), item.end()));
+  EXPECT_LT(cpu, 0.5 * charged_compute_us(out.report)) << "a four-owner batch ran inline";
+
+  // The watchdog contract holds on the calling thread too: an inline run
+  // that overruns its deadline fails with a per-VP diagnosis.
+  cfg.watchdog_seconds = 1e-9;
+  one = batch(1, 1024);
+  try {
+    (void)caller_cpu_us(machine, one, cfg, out);
+    FAIL() << "expected BarrierTimeout";
+  } catch (const BarrierTimeout& e) {
+    EXPECT_EQ(e.states().size(), 4u);
+  }
+  cfg.watchdog_seconds = 0;
+  one = batch(1, 1024);
+  cpu = caller_cpu_us(machine, one, cfg, out);
+  EXPECT_TRUE(out.sorted[0]) << "the machine must stay usable after the timeout";
 }
 
 TEST(ApiBatch, BarrierTimeoutNamesTheOwningRequest) {

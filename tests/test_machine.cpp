@@ -2,13 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <functional>
 #include <numeric>
+#include <thread>
 
 #include "backend/backend.hpp"
+#include "fault/error.hpp"
 #include "loggp/cost.hpp"
 #include "loggp/params.hpp"
 #include "test_helpers.hpp"
+#include "util/random.hpp"
 
 namespace bsort::simd {
 namespace {
@@ -202,6 +207,118 @@ TEST(Machine, MachineUsableAfterThrow) {
     });
     EXPECT_EQ(rep.proc_us.size(), static_cast<std::size_t>(P));
   }
+}
+
+// ---- run_inline: a barrier-free program on the calling thread -------
+
+/// A local program: each rank sorts its own block of `keys` under a
+/// timed compute section and records which thread ran it.
+std::function<void(Proc&)> block_sort(std::vector<std::uint32_t>& keys,
+                                      std::vector<std::thread::id>& ran_on) {
+  return [&keys, &ran_on](Proc& p) {
+    const std::size_t n = keys.size() / static_cast<std::size_t>(p.nprocs());
+    const auto first = keys.begin() + static_cast<std::ptrdiff_t>(n) * p.rank();
+    p.timed(Phase::kCompute, [&] { std::sort(first, first + static_cast<std::ptrdiff_t>(n)); });
+    ran_on[static_cast<std::size_t>(p.rank())] = std::this_thread::get_id();
+  };
+}
+
+TEST(MachineInline, RunsEveryRankOnTheCallerWithRunsReportAndRings) {
+  const int P = 4;
+  Machine m(P, loggp::meiko_cs2(), MessageMode::kLong);
+  m.enable_profiling(64);
+  auto vp_keys = util::generate_keys(1024, util::KeyDistribution::kUniform31, 3);
+  auto inline_keys = vp_keys;
+  std::vector<std::thread::id> vp_threads(P), inline_threads(P);
+  const auto on_vps = m.run(block_sort(vp_keys, vp_threads));
+  const auto inline_rep = m.run_inline(block_sort(inline_keys, inline_threads));
+
+  EXPECT_EQ(inline_keys, vp_keys);
+  for (int r = 0; r < P; ++r) {
+    const auto i = static_cast<std::size_t>(r);
+    EXPECT_EQ(inline_threads[i], std::this_thread::get_id()) << "rank " << r;
+    EXPECT_NE(vp_threads[i], std::this_thread::get_id()) << "rank " << r;
+    // Same report shape; each rank charged its own work, into its own ring.
+    EXPECT_GT(inline_rep.proc_phases[i].compute(), 0.0);
+    EXPECT_DOUBLE_EQ(inline_rep.proc_us[i], inline_rep.proc_phases[i].compute());
+    EXPECT_EQ(inline_rep.proc_comm[i].exchanges, 0u);
+    EXPECT_EQ(m.vp_spans(r).size(), 1u) << "rank " << r;
+    EXPECT_EQ(m.vp_metrics(r).span_count[static_cast<std::size_t>(obs::SpanKind::kCompute)], 1u);
+  }
+  EXPECT_EQ(inline_rep.proc_us.size(), on_vps.proc_us.size());
+  EXPECT_GT(inline_rep.makespan_us, 0.0);
+  EXPECT_GT(inline_rep.wall_seconds, 0.0);
+  EXPECT_TRUE(inline_rep.obs.enabled);
+}
+
+TEST(MachineInline, CollectiveCallsThrowConfigErrorAndMachineStaysUsable) {
+  const int P = 4;
+  Machine m(P, loggp::meiko_cs2(), MessageMode::kLong);
+  const std::uint64_t peers[1] = {0};
+  const std::size_t sizes[1] = {1};
+  const std::vector<std::function<void(Proc&)>> collectives = {
+      [](Proc& p) { p.barrier(); },
+      [&](Proc& p) { p.open_exchange(peers, sizes, peers); },
+      [](Proc& p) { p.commit_exchange(); },
+  };
+  for (const auto& collective : collectives) {
+    std::atomic<int> ran{0};
+    try {
+      m.run_inline([&](Proc& p) {
+        ++ran;
+        collective(p);
+      });
+      FAIL() << "expected ConfigError";
+    } catch (const ConfigError& e) {
+      EXPECT_EQ(e.rank(), 0) << "the lowest failing rank's error is rethrown";
+      EXPECT_NE(std::string(e.what()).find("run_inline"), std::string::npos) << e.what();
+    }
+    EXPECT_EQ(ran.load(), P) << "every rank runs, as on the VPs";
+    // Both entries still work on the same machine.
+    const auto rep = m.run([](Proc& p) {
+      const std::uint32_t payload[1] = {static_cast<std::uint32_t>(p.rank())};
+      const auto got = swap_with(p, static_cast<std::uint64_t>(p.rank() ^ 1), payload);
+      ASSERT_EQ(got.size(), 1u);
+      EXPECT_EQ(got[0], static_cast<std::uint32_t>(p.rank() ^ 1));
+    });
+    EXPECT_EQ(rep.total_comm().exchanges, 1u);
+    EXPECT_NO_THROW(m.run_inline([](Proc& p) { p.charge(Phase::kCompute, 1.0); }));
+  }
+}
+
+TEST(MachineInline, OverrunningTheWatchdogThrowsBarrierTimeout) {
+  const int P = 4;
+  Machine m(P, loggp::meiko_cs2(), MessageMode::kLong);
+  m.set_watchdog(1e-9);
+  try {
+    m.run_inline([](Proc& p) { p.charge(Phase::kCompute, 1.0); });
+    FAIL() << "expected BarrierTimeout";
+  } catch (const BarrierTimeout& e) {
+    ASSERT_EQ(e.states().size(), static_cast<std::size_t>(P));
+    for (int r = 0; r < P; ++r) {
+      EXPECT_EQ(e.states()[static_cast<std::size_t>(r)].rank, r);
+      EXPECT_STREQ(e.states()[static_cast<std::size_t>(r)].where, "done");
+    }
+  }
+  m.set_watchdog(0);
+  EXPECT_DOUBLE_EQ(m.run_inline([](Proc& p) { p.charge(Phase::kCompute, 2.0); }).makespan_us,
+                   2.0);
+}
+
+TEST(MachineInline, HandoffIsMeasuredOnBarrierFreeRunsOnly) {
+  Machine m(4, loggp::meiko_cs2(), MessageMode::kLong);
+  EXPECT_EQ(m.handoff_us(), 0.0);
+  m.run([](Proc& p) { p.barrier(); });
+  m.run_inline([](Proc&) {});
+  EXPECT_EQ(m.handoff_us(), 0.0) << "a barrier run or an inline run is no hand-off sample";
+  m.run([](Proc&) {});
+  EXPECT_GT(m.handoff_us(), 0.0);
+
+  EXPECT_EQ(m.local_sort_us_per_key(), 0.0);
+  m.note_local_sort(0, 5.0);
+  EXPECT_EQ(m.local_sort_us_per_key(), 0.0) << "an empty sample is ignored";
+  m.note_local_sort(100, 5.0);
+  EXPECT_DOUBLE_EQ(m.local_sort_us_per_key(), 0.05);
 }
 
 }  // namespace

@@ -948,6 +948,47 @@ TEST(SortService, CountersAreTheFlightRecordCounts) {
   }
 }
 
+/// Ranks (`tid`s) of the pool machine `pid` that recorded an exchange.
+std::set<int> ranks_with_exchanges(const std::string& trace, int pid) {
+  const std::string key = "{\"name\":\"exchange\",";
+  const std::string track = "\"pid\":" + std::to_string(pid) + ",\"tid\":";
+  std::set<int> ranks;
+  for (auto at = trace.find(key); at != std::string::npos; at = trace.find(key, at + 1)) {
+    const auto t = trace.find(track, at);
+    if (t != std::string::npos && t < trace.find('}', at)) {
+      ranks.insert(std::stoi(trace.substr(t + track.size())));
+    }
+  }
+  return ranks;
+}
+
+TEST(SortService, HealthCheckExchangesOnEveryVpUnderLocalPlacement) {
+  // The health run certifies a machine that just failed a batch, so it
+  // must drive its VPs through exchanges and barriers: under the
+  // service's small-item threshold its P*16 keys would otherwise sort
+  // whole on one VP (or on the dispatcher's own thread).
+  fault::FaultPlan plan;  // declared before the service: outlives every run
+  plan.rules = {{fault::FaultKind::kCrash, /*rank=*/1, /*exchange=*/0}};
+  auto cfg = small_service();
+  cfg.pool_size = 1;
+  cfg.base.small_item_threshold = 2048;
+  cfg.base.faults = &plan;
+  cfg.base.profile_spans = 4096;
+  cfg.retry.max_retries = 0;
+  cfg.quarantine_after = 10;  // keep the machine whose health run is inspected
+  service::SortService svc(cfg);
+  // Above the threshold, so the request is scattered and the crash fires.
+  EXPECT_THROW(svc.submit(request_keys(4096, 12)).get(), bsort::ExchangeError);
+  svc.shutdown();
+  EXPECT_EQ(svc.stats().health_checks, 1u);
+  EXPECT_EQ(svc.stats().quarantined, 0u);
+
+  // The health run is the machine's last run: its track is pid 1.
+  std::ostringstream os;
+  svc.export_perfetto(os);
+  EXPECT_EQ(ranks_with_exchanges(os.str(), 1), (std::set<int>{0, 1, 2, 3}));
+}
+
 TEST(SortService, ExportPerfettoAfterShutdownEmitsServiceTimeline) {
   auto cfg = small_service();
   cfg.base.profile_spans = 2048;  // machine tracks ride along
